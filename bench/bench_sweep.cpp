@@ -3,8 +3,10 @@
 // line length / load, run the full transient -> swept-receiver ->
 // compliance pipeline per corner on 1 thread and on --jobs threads, and
 // verify the two SweepSummary aggregates are bit-identical (the sweep's
-// determinism contract). Wall-clock speedup and the worst-margin
-// statistics land in BENCH_sweep.json with the shared bench schema.
+// determinism contract). Wall-clock speedup, the worst-margin statistics
+// and the serial sweep's solver work counters (Newton iterations and
+// factorizations, machine-independent, gated tightly by the smoke
+// baseline) land in BENCH_sweep.json with the shared bench schema.
 //
 //   bench_sweep [--jobs N] [--smoke]
 //
@@ -16,11 +18,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <thread>
+#include <utility>
 
 #include "baseline.hpp"
 #include "emc/limits.hpp"
 #include "experiments.hpp"
 #include "json_out.hpp"
+#include "obs/metrics.hpp"
 #include "sweep/sweep_runner.hpp"
 
 // The summary/margin JSON emitters moved into the sweep library
@@ -101,11 +105,28 @@ int main(int argc, char** argv) {
   // bit-identical (the determinism contract of the engine). The chunk hint
   // keeps corners sharing one transient on one worker (record memo hits).
   const std::size_t chunk = sweep::emission_chunk_hint(grid);
+  // The serial run's solver work: a silent fall-back to per-iteration
+  // refactoring multiplies the factorizations without moving the
+  // iterations, and no wall-time band is tight enough to see it.
+  const std::pair<const char*, const char*> kWorkCounters[] = {
+      {"newton_iters", "ckt.newton.iters"},
+      {"dc_newton_iters", "ckt.dc.newton_iters"},
+      {"factorizations", "ckt.newton.factorizations"},
+      {"sparse_refactors", "linalg.sparselu.refactors"}};
+  const auto counters_before = obs::registry().snapshot();
   sweep::SweepRunner serial(1);
   const auto t1 = std::chrono::steady_clock::now();
   const auto out1 = serial.run(grid, corner_fn, {}, chunk);
   const double wall_1 = seconds_since(t1);
   doc.at("scenarios").push(bench::scenario_row("sweep_1_thread", wall_1));
+  const auto counters_after = obs::registry().snapshot();
+  auto work = bench::Json::object();
+  for (const auto& [key, counter] : kWorkCounters) {
+    const auto n = counters_after.value(counter) - counters_before.value(counter);
+    work.set(key, bench::Json::integer(static_cast<long>(n)));
+    std::printf("serial sweep %-17s %llu\n", key, static_cast<unsigned long long>(n));
+  }
+  doc.set("solver_work", std::move(work));
 
   sweep::SweepRunner parallel(jobs);
   const auto tn = std::chrono::steady_clock::now();

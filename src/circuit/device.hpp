@@ -37,9 +37,9 @@ struct SimState {
 /// Assembles the linearized MNA system; devices talk only to this.
 ///
 /// Abstract on purpose: a device's stamp is target-agnostic. The engine
-/// routes it into a dense Jacobian, a sparse matrix lane, or a pure
-/// pattern-discovery pass through the implementations in
-/// circuit/stampers.hpp — the device never knows which.
+/// routes it into a dense Jacobian, a sparse matrix, the port block of the
+/// port-reduced solve, or a pure pattern-discovery pass through the
+/// implementations in circuit/stampers.hpp — the device never knows which.
 class Stamper {
  public:
   virtual ~Stamper() = default;
@@ -87,9 +87,9 @@ class Device {
   /// True if the stamp depends on the candidate solution x.
   ///
   /// Returning false is a stronger promise than x-independence: the
-  /// engine's cached-LU fast path assumes a linear device's *matrix*
-  /// entries depend only on (dt, dc) — time, history, and the source
-  /// scale may enter the right-hand side only. A device whose
+  /// engine's port-reduced solve factors the linear devices' matrix once
+  /// per run, assuming its entries depend only on (dt, dc) — time,
+  /// history, and the source scale may enter the right-hand side only. A device whose
   /// conductance varies with t or committed history must return true
   /// even if its stamp ignores x.
   virtual bool nonlinear() const { return false; }

@@ -19,19 +19,20 @@ void NewtonWorkspace::resize(std::size_t n) {
   g = linalg::Matrix(n, n);
   rhs.assign(n, 0.0);
   x_new.assign(n, 0.0);
-  // A size change is a topology change for good: drop the sparse systems
+  x0.assign(n, 0.0);
+  // A size change is a topology change for good: drop the mode systems
   // entirely (patterns, symbolic analyses, value storage).
-  sp_tr = SparseSystem{};
-  sp_dc = SparseSystem{};
+  sp_tr = ModeSystem{};
+  sp_dc = ModeSystem{};
   invalidate();
 }
 
 void NewtonWorkspace::invalidate() {
-  lu_cached = false;
-  for (SparseSystem* s : {&sp_tr, &sp_dc}) {
-    s->num_cached = false;
+  for (ModeSystem* s : {&sp_tr, &sp_dc}) {
     s->pattern_ready = false;
     s->use_sparse = -1;
+    s->use_ports = -1;
+    s->a0_ready = false;
   }
 }
 
@@ -58,7 +59,8 @@ double TransientResult::value(std::size_t step, int id) const {
 
 void dc_operating_point(Circuit& ckt, std::vector<double>& x, const TransientOptions& opt) {
   NewtonWorkspace ws(x.size());
-  detail::dc_operating_point_impl(ckt, ws, detail::circuit_is_linear(ckt), x, opt);
+  detail::bind_devices(ckt, ws);
+  detail::dc_operating_point_impl(ckt, ws, x, opt);
 }
 
 TransientResult run_transient(Circuit& ckt, const TransientOptions& opt) {
@@ -110,17 +112,18 @@ SolveStats run_transient_streamed(Circuit& ckt, const TransientOptions& opt,
 
   for (const auto& dev : ckt.devices()) dev->reset();
 
-  // Reuse caller-owned scratch when the size already matches; a cached LU
-  // can never be trusted across circuits, so it is dropped either way.
+  // Reuse caller-owned scratch when the size already matches; cached
+  // factors can never be trusted across circuits, so they are dropped
+  // either way.
   if (ws.g.rows() != static_cast<std::size_t>(n_unknowns))
     ws.resize(static_cast<std::size_t>(n_unknowns));
   else
     ws.invalidate();
-  const bool linear = detail::circuit_is_linear(ckt);
+  detail::bind_devices(ckt, ws);
 
   SolveStats stats;
   if (opt.dc_start) {
-    detail::dc_operating_point_impl(ckt, ws, linear, x, opt, &stats);
+    detail::dc_operating_point_impl(ckt, ws, x, opt, &stats);
     SimState st{x, x, opt.t_start, 0.0, true, 1.0};
     for (const auto& dev : ckt.devices()) dev->post_dc(st);
   }
@@ -201,8 +204,8 @@ SolveStats run_transient_streamed(Circuit& ckt, const TransientOptions& opt,
 
     x = x_prev;  // warm start
     const long iters_before = stats.total_newton_iters;
-    const bool ok = detail::newton_solve(ckt, ws, linear, x, x_prev, t, opt.dt, false, 1.0,
-                                         opt, &stats);
+    const bool ok =
+        detail::newton_solve(ckt, ws, x, x_prev, t, opt.dt, false, 1.0, opt, &stats);
     h_step_iters.record(static_cast<std::uint64_t>(stats.total_newton_iters - iters_before));
     const bool poisoned = robust::fault(robust::FaultSite::kTransientStep, fctx);
     if (poisoned) x[0] = std::numeric_limits<double>::quiet_NaN();

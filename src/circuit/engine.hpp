@@ -39,13 +39,14 @@ struct TransientOptions {
   double dx_limit = 0.5;   ///< Newton damping: max |dx| per iteration
   double gmin = 1e-12;     ///< diagonal leakage keeping the system regular
   bool dc_start = true;    ///< compute the operating point before stepping
-  /// Cache the LU factorization of a purely linear circuit: factor once
-  /// per (dt, dc, gmin) configuration and reuse the factors for every
-  /// step. Each step still re-stamps the system (the right-hand side is
-  /// time/history dependent) but replaces the O(n^3) LU with one O(n^2)
-  /// back-substitution. Disable to force the generic re-factorizing
-  /// Newton path (reference behavior for regression benches). Applies to
-  /// the sparse backend too (numeric refactor cached per configuration).
+  /// Port-reduced solve (see NewtonWorkspace): factor the linear part of
+  /// the circuit once per (mode, dt, gmin) and run Newton only on the
+  /// p x p border of unknowns the nonlinear devices touch, engaging when
+  /// 8p <= n. A purely linear circuit is the p = 0 case — one exact
+  /// back-substitution per step. The iterates equal the full-system
+  /// Newton's up to round-off. Disable to force the full-system Newton
+  /// loop, which restamps and refactors the whole matrix every iteration
+  /// (the reference behavior for regression benches).
   bool cache_lu = true;
 
   /// Linear-system backend; see SolverKind. kAuto keeps every circuit
@@ -69,13 +70,13 @@ struct TransientOptions {
   const robust::Deadline* deadline = nullptr;
 };
 
-/// Per-mode sparse solve state inside a NewtonWorkspace (the DC and
-/// transient stamps of reactive devices and lines differ structurally, so
-/// each mode keeps its own pattern). The pattern is rebuilt per run (it
-/// is cheap) but the SparseLu's symbolic analysis survives as long as the
-/// pattern hash keeps matching — which is how corners sharing a topology
-/// share one symbolic analysis.
-struct SparseSystem {
+/// Per-mode solve state inside a NewtonWorkspace (the DC and transient
+/// stamps of reactive devices and lines differ structurally, so each mode
+/// keeps its own). The sparse pattern is rebuilt per run (it is cheap) but
+/// the SparseLu's symbolic analysis survives as long as the pattern hash
+/// keeps matching — which is how corners sharing a topology share one
+/// symbolic analysis.
+struct ModeSystem {
   std::vector<linalg::SparseCoord> coords;  ///< raw stamped positions
   linalg::SparsePattern pattern;
   bool pattern_ready = false;
@@ -83,64 +84,97 @@ struct SparseSystem {
   linalg::SparseMatrix a;
   linalg::SparseLu lu;
 
-  // Cached numeric factorization key for the linear fast path (mirrors
-  // the dense lu_* key).
-  bool num_cached = false;
+  /// Dense-backend factors (A0 on the port-reduced path, the Jacobian on
+  /// the full-system path); the sparse backend keeps them in `lu`.
+  linalg::LuFactor dense_lu;
+
+  /// Port reduction: -1 undecided, 1 engaged, 0 full-system Newton.
+  int use_ports = -1;
+  std::vector<int> ports;    ///< the port set P: 0-based unknowns, ascending
+  std::vector<int> port_of;  ///< n entries: index into `ports`, or -1
+  std::vector<double> z;     ///< Z = A0^-1 E_P, column-major n x p
+  linalg::Matrix zpp;        ///< Z[P, :], p x p
+
+  /// A0 and Z are valid for (key_dt, key_gmin) of this mode.
+  bool a0_ready = false;
   double key_dt = 0.0;
-  bool key_dc = false;
   double key_gmin = 0.0;
 };
 
-/// Reusable scratch for the Newton/MNA solve. Hoists the dense system
-/// (Jacobian, right-hand side, candidate update) and the LU factorization
-/// storage out of the per-step solve, so steady-state stepping performs no
-/// heap allocation. One workspace serves one circuit at a time; the
-/// two-argument run_transient owns one internally, and batch drivers (the
-/// emc::sweep corner runner) pass a long-lived workspace to the
-/// three-argument overload so back-to-back analyses of same-sized circuits
-/// reuse the dense storage without reallocation.
+/// Reusable scratch for the Newton/MNA solve, so steady-state stepping
+/// performs no heap allocation. One workspace serves one circuit at a
+/// time; the two-argument run_transient owns one internally, and batch
+/// drivers (the emc::sweep corner runner) pass a long-lived workspace to
+/// the three-argument overload so back-to-back analyses of same-sized
+/// circuits reuse the storage and the sparse symbolic analyses.
+///
+/// Port reduction. The unknowns any nonlinear() device stamps into (rows,
+/// columns or right-hand side) form the port set P, p = |P|. Every other
+/// stamp is linear and, by the Device::nonlinear() contract, its matrix
+/// depends only on (dt, dc): that block A0 (plus gmin on the diagonal) is
+/// stamped and factored once per (mode, dt, gmin), together with
+/// Z = A0^-1 E_P (p back-substitutions, E_P the port columns of I) and
+/// Zpp = Z[P, :]. Each solve then stamps only the linear right-hand side
+/// b0 and takes x0 = A0^-1 b0; each Newton iteration stamps only the
+/// nonlinear devices into the p x p (Gp, rp), solves
+/// (I + Gp Zpp) y = rp - Gp x0[P] and sets x_new = x0 + Z y — exactly the
+/// full system's Newton update, so the convergence test, damping, residual
+/// history, fault probes and deadline checks run unchanged on the full
+/// vector. Singular and diverging solves surface from the port system.
+///
+/// Engagement is a pure function of the structure: P is discovered on the
+/// first solve of each mode and the reduction engages when 8p <= n (a
+/// stamp that later leaves P grows it, without re-deciding). A singular
+/// A0 falls back to the full-system loop for the rest of the run, and so
+/// does TransientOptions::cache_lu = false.
 class NewtonWorkspace {
  public:
   NewtonWorkspace() = default;
   explicit NewtonWorkspace(std::size_t n) { resize(n); }
 
-  /// Size the scratch for an n-unknown system and drop any cached factors
-  /// including the sparse symbolic analyses (the topology changed size).
+  /// Size the scratch for an n-unknown system and drop every cached
+  /// factorization, including the sparse symbolic analyses (the topology
+  /// changed size).
   void resize(std::size_t n);
 
-  /// Forget the cached linear-circuit factorizations (dense and sparse)
-  /// and the per-run sparse pattern/backend decisions (topology or
-  /// configuration may have changed). The sparse symbolic analyses are
-  /// kept — they revalidate themselves against the rebuilt pattern's hash.
+  /// Forget the per-run state: A0 factors, port sets, sparse patterns and
+  /// backend decisions (topology or configuration may have changed). The
+  /// sparse symbolic analyses are kept — they revalidate themselves
+  /// against the rebuilt pattern's hash.
   void invalidate();
 
-  linalg::Matrix g;           ///< MNA Jacobian scratch
+  linalg::Matrix g;           ///< dense MNA assembly scratch
   std::vector<double> rhs;    ///< right-hand side scratch
   std::vector<double> x_new;  ///< Newton candidate scratch
-  linalg::LuFactor lu;        ///< refactorizable LU storage
+
+  /// Port-loop scratch: x0 = A0^-1 b0 (n), the p x p port block and its
+  /// factors, and the port right-hand side / solution y (p).
+  std::vector<double> x0;
+  linalg::Matrix gp;
+  linalg::Matrix port_m;
+  linalg::LuFactor port_lu;
+  std::vector<double> rp;
+  std::vector<double> y;
+
+  /// Devices of the circuit being solved, split by Device::nonlinear()
+  /// (circuit order within each group); set once per run.
+  std::vector<const Device*> linear_devs;
+  std::vector<const Device*> nonlinear_devs;
 
   /// Chunk staging for run_transient_streamed (frame-major, chunk_frames x
   /// channels). Lives in the workspace so batch drivers streaming many
   /// records (sweep corners) reuse one buffer instead of allocating per
-  /// run. Untouched by the dense-solve paths; resize() leaves it alone.
+  /// run. Untouched by the solve paths; resize() leaves it alone.
   std::vector<double> stream_buf;
 
-  // Cached-factorization key for the linear fast path: the Jacobian of a
-  // purely linear circuit depends only on (dt, dc, gmin), never on t, x,
-  // or the source-stepping scale.
-  bool lu_cached = false;
-  double lu_dt = 0.0;
-  bool lu_dc = false;
-  double lu_gmin = 0.0;
-
-  /// Sparse solve state, one per stamping mode (transient / DC).
-  SparseSystem sp_tr;
-  SparseSystem sp_dc;
+  /// Per-mode solve state (transient / DC).
+  ModeSystem sp_tr;
+  ModeSystem sp_dc;
 
   /// |dx|_inf per iteration of the most recent damped Newton solve,
   /// oldest-first and capped at kResidualHistoryCap (older entries are
   /// dropped). Failure reports copy it into SolveErrorInfo so a diverging
-  /// solve's trajectory survives the throw. The linear fast path leaves
+  /// solve's trajectory survives the throw. A linear (p = 0) solve leaves
   /// it empty.
   static constexpr std::size_t kResidualHistoryCap = 12;
   std::vector<double> residual_history;

@@ -40,42 +40,41 @@ robust::SolveErrorInfo solve_error_info(robust::FailureKind kind, const char* si
   return info;
 }
 
-bool circuit_is_linear(const Circuit& ckt) {
+void bind_devices(const Circuit& ckt, NewtonWorkspace& ws) {
+  ws.linear_devs.clear();
+  ws.nonlinear_devs.clear();
   for (const auto& dev : ckt.devices())
-    if (dev->nonlinear()) return false;
-  return true;
+    (dev->nonlinear() ? ws.nonlinear_devs : ws.linear_devs).push_back(dev.get());
 }
 
+namespace {
+
+/// Structure-discovery pass: stamp every device through a PatternStamper
+/// at `state` and return the recorded positions (0-based, ground dropped).
 std::vector<linalg::SparseCoord> stamp_pattern(Circuit& ckt, const SimState& state) {
   PatternStamper ps;
   for (const auto& dev : ckt.devices()) dev->stamp(ps, state);
   return std::move(ps).take_coords();
 }
 
-namespace {
+/// Resolve the backend for this solve's mode: true selects sparse
+/// (building the mode's pattern on first use), false dense. The decision
+/// is cached in the mode until the workspace is invalidated, and depends
+/// only on structure and options — never on values.
+bool resolve_sparse(Circuit& ckt, ModeSystem& s, const SimState& state,
+                    const TransientOptions& opt, std::size_t n) {
+  if (opt.solver == SolverKind::kDense) return false;
+  if (opt.solver == SolverKind::kAuto && n < opt.sparse_min_unknowns) return false;
 
-/// Resolve the backend for this solve's mode. Returns the mode's
-/// SparseSystem when the sparse path is selected (building the pattern on
-/// first use), nullptr for dense. The decision is cached in the system
-/// until the workspace is invalidated, and depends only on structure and
-/// options — never on values.
-SparseSystem* resolve_sparse(Circuit& ckt, NewtonWorkspace& ws, const SimState& state,
-                             bool dc, const TransientOptions& opt, std::size_t n) {
-  if (opt.solver == SolverKind::kDense) return nullptr;
-  if (opt.solver == SolverKind::kAuto && n < opt.sparse_min_unknowns) return nullptr;
-
-  SparseSystem& s = dc ? ws.sp_dc : ws.sp_tr;
   if (!s.pattern_ready) {
     s.coords = stamp_pattern(ckt, state);
     s.pattern = linalg::SparsePattern::build(n, s.coords);
     s.pattern_ready = true;
     s.use_sparse = -1;
-    s.a.set_pattern(&s.pattern, 1);
-    s.num_cached = false;
-  } else if (s.a.pattern() != &s.pattern || s.a.lanes() != 1) {
+    s.a.set_pattern(&s.pattern);
+  } else if (s.a.pattern() != &s.pattern) {
     // The workspace object moved since the pattern was built; rebind.
-    s.a.set_pattern(&s.pattern, 1);
-    s.num_cached = false;
+    s.a.set_pattern(&s.pattern);
   }
   if (s.use_sparse < 0) {
     const bool dense_enough =
@@ -83,179 +82,309 @@ SparseSystem* resolve_sparse(Circuit& ckt, NewtonWorkspace& ws, const SimState& 
         opt.sparse_max_density * static_cast<double>(n) * static_cast<double>(n);
     s.use_sparse = (opt.solver == SolverKind::kSparse || dense_enough) ? 1 : 0;
   }
-  return s.use_sparse == 1 ? &s : nullptr;
+  return s.use_sparse == 1;
 }
 
-}  // namespace
+/// Every factorization of an MNA matrix (an A0 on the port-reduced path,
+/// the whole Jacobian on the full-system path); the per-iteration p x p
+/// port factors are not counted.
+void count_factorization() {
+  static const obs::Counter c_factors("ckt.newton.factorizations");
+  c_factors.add();
+}
 
-bool newton_solve(Circuit& ckt, NewtonWorkspace& ws, bool linear, std::vector<double>& x,
-                  const std::vector<double>& x_prev, double t, double dt, bool dc,
-                  double src_scale, const TransientOptions& opt, SolveStats* stats) {
+void count_restamp(SolveStats* stats) {
   static const obs::Counter c_restamps("ckt.newton.restamps");
-  const std::size_t n = x.size();
+  if (stats) ++stats->restamps;
+  c_restamps.add();
+}
 
-  SparseSystem* sys;
-  {
-    SimState state{x, x_prev, t, dt, dc, src_scale};
-    sys = resolve_sparse(ckt, ws, state, dc, opt, n);
-  }
-
-  const auto assemble_dense = [&] {
+/// Stamp `devs` into the mode's matrix (ws.g when dense, sys.a when
+/// sparse) and ws.rhs, then add gmin to the diagonal. A device stamping
+/// outside the discovered sparse pattern (state-dependent structure)
+/// grows the pattern and the assembly reruns.
+template <class Devs>
+void assemble(ModeSystem& sys, bool sparse, NewtonWorkspace& ws, const Devs& devs,
+              const SimState& state, const TransientOptions& opt, SolveStats* stats) {
+  if (!sparse) {
     ws.g.fill(0.0);
     std::fill(ws.rhs.begin(), ws.rhs.end(), 0.0);
     DenseStamper st(ws.g, ws.rhs);
-    SimState state{x, x_prev, t, dt, dc, src_scale};
-    for (const auto& dev : ckt.devices()) dev->stamp(st, state);
-    for (std::size_t i = 0; i < n; ++i) ws.g(i, i) += opt.gmin;
-  };
-
-  const auto assemble_sparse = [&] {
-    for (int attempt = 0;; ++attempt) {
-      sys->a.clear_values();
-      std::fill(ws.rhs.begin(), ws.rhs.end(), 0.0);
-      SparseStamper st(sys->a, ws.rhs);
-      SimState state{x, x_prev, t, dt, dc, src_scale};
-      for (const auto& dev : ckt.devices()) dev->stamp(st, state);
-      if (st.missed().empty()) {
-        sys->a.add_diag(opt.gmin);
-        return;
-      }
-      // A device stamped outside the discovered pattern (state-dependent
-      // structure): grow the pattern by the missed positions and retry.
-      if (attempt >= 3)
-        throw robust::SolveError(solve_error_info(robust::FailureKind::kPatternUnstable,
-                                                  "newton_solve", opt, t, ws));
-      if (stats) ++stats->restamps;
-      c_restamps.add();
-      sys->coords.insert(sys->coords.end(), st.missed().begin(), st.missed().end());
-      sys->pattern = linalg::SparsePattern::build(n, sys->coords);
-      sys->a.set_pattern(&sys->pattern, 1);
-      sys->num_cached = false;
+    for (const auto& dev : devs) dev->stamp(st, state);
+    for (std::size_t i = 0; i < ws.rhs.size(); ++i) ws.g(i, i) += opt.gmin;
+    return;
+  }
+  for (int attempt = 0;; ++attempt) {
+    sys.a.clear_values();
+    std::fill(ws.rhs.begin(), ws.rhs.end(), 0.0);
+    SparseStamper st(sys.a, ws.rhs);
+    for (const auto& dev : devs) dev->stamp(st, state);
+    if (st.missed().empty()) {
+      sys.a.add_diag(opt.gmin);
+      return;
     }
-  };
+    if (attempt >= 3)
+      throw robust::SolveError(solve_error_info(robust::FailureKind::kPatternUnstable,
+                                                "newton_solve", opt, state.t, ws));
+    count_restamp(stats);
+    sys.coords.insert(sys.coords.end(), st.missed().begin(), st.missed().end());
+    sys.pattern = linalg::SparsePattern::build(ws.rhs.size(), sys.coords);
+    sys.a.set_pattern(&sys.pattern);
+  }
+}
 
-  const auto assemble = [&] { sys ? assemble_sparse() : assemble_dense(); };
+/// Injected singular pivots throw (a recordable failure the retry ladder
+/// can escalate past); genuinely singular factorizations keep the
+/// historical return-false semantics (weak-step tolerance).
+void probe_factor_fault(const robust::FaultCtx& fctx, const TransientOptions& opt, double t,
+                        const NewtonWorkspace& ws) {
+  if (!robust::fault(robust::FaultSite::kFactor, fctx)) return;
+  auto info = solve_error_info(robust::FailureKind::kSingularSystem, "newton_solve", opt, t,
+                               ws);
+  info.detail = "injected singular pivot";
+  throw robust::SolveError(std::move(info));
+}
 
-  const robust::FaultCtx fctx = fault_ctx(opt);
-  // Injected singular pivots throw (a recordable failure the retry ladder
-  // can escalate past); genuinely singular factorizations keep the
-  // historical return-false semantics (weak-step tolerance).
-  const auto probe_factor_fault = [&] {
-    if (!robust::fault(robust::FaultSite::kFactor, fctx)) return;
-    ws.lu_cached = false;
-    if (sys) sys->num_cached = false;
-    auto info = solve_error_info(robust::FailureKind::kSingularSystem, "newton_solve",
-                                 opt, t, ws);
-    info.detail = "injected singular pivot";
-    throw robust::SolveError(std::move(info));
-  };
-  const auto check_deadline = [&] {
-    if (opt.deadline == nullptr || !opt.deadline->expired()) return;
-    char detail[64];
-    std::snprintf(detail, sizeof detail, "wall budget %.3g s exhausted",
-                  opt.deadline->budget_s());
-    auto info = solve_error_info(robust::FailureKind::kDeadlineExceeded, "newton_solve",
-                                 opt, t, ws);
-    info.detail = detail;
-    throw robust::SolveError(std::move(info));
-  };
+void check_deadline(const TransientOptions& opt, double t, const NewtonWorkspace& ws) {
+  if (opt.deadline == nullptr || !opt.deadline->expired()) return;
+  char detail[64];
+  std::snprintf(detail, sizeof detail, "wall budget %.3g s exhausted",
+                opt.deadline->budget_s());
+  auto info = solve_error_info(robust::FailureKind::kDeadlineExceeded, "newton_solve", opt,
+                               t, ws);
+  info.detail = detail;
+  throw robust::SolveError(std::move(info));
+}
 
-  ws.residual_history.clear();
+/// Newton bookkeeping on the full vector: record |dx|_inf of the candidate
+/// ws.x_new, accept it within tolerance (returns true), otherwise take a
+/// damped step towards it.
+bool accept_or_damp(NewtonWorkspace& ws, std::vector<double>& x, const TransientOptions& opt) {
+  const std::size_t n = x.size();
+  double dx_max = 0.0;
+  for (std::size_t i = 0; i < n; ++i) dx_max = std::max(dx_max, std::abs(ws.x_new[i] - x[i]));
+  if (ws.residual_history.size() >= NewtonWorkspace::kResidualHistoryCap)
+    ws.residual_history.erase(ws.residual_history.begin());
+  ws.residual_history.push_back(dx_max);
 
-  if (linear && opt.cache_lu) {
-    // Linear fast path: the Jacobian depends only on (dt, dc, gmin) —
-    // never on t, x, or src_scale, which enter the right-hand side only —
-    // so factor once per configuration and reuse the factors for every
-    // step. The single solve is exact; no damping loop is needed.
-    assemble();
-    if (stats) ++stats->total_newton_iters;
-    probe_factor_fault();
-    if (sys) {
-      if (!sys->num_cached || sys->key_dt != dt || sys->key_dc != dc ||
-          sys->key_gmin != opt.gmin) {
-        try {
-          obs::Span sp_factor("factor");
-          sys->lu.factor(sys->a);
-        } catch (const std::runtime_error&) {
-          sys->num_cached = false;
-          return false;  // singular system
-        }
-        sys->num_cached = true;
-        sys->key_dt = dt;
-        sys->key_dc = dc;
-        sys->key_gmin = opt.gmin;
-      }
-      std::copy(ws.rhs.begin(), ws.rhs.end(), ws.x_new.begin());
-      sys->lu.solve_in_place(ws.x_new);
-    } else {
-      if (!ws.lu_cached || ws.lu_dt != dt || ws.lu_dc != dc || ws.lu_gmin != opt.gmin) {
-        try {
-          obs::Span sp_factor("factor");
-          ws.lu.factor(ws.g);
-        } catch (const std::runtime_error&) {
-          ws.lu_cached = false;
-          return false;  // singular system
-        }
-        ws.lu_cached = true;
-        ws.lu_dt = dt;
-        ws.lu_dc = dc;
-        ws.lu_gmin = opt.gmin;
-      }
-      std::copy(ws.rhs.begin(), ws.rhs.end(), ws.x_new.begin());
-      ws.lu.solve_in_place(ws.x_new);
-    }
+  if (dx_max <= opt.tol) {
     std::copy(ws.x_new.begin(), ws.x_new.end(), x.begin());
+    return true;
+  }
+  // Damping: clamp the update so nonlinear devices cannot be thrown far
+  // outside their linearization region.
+  const double scale = (dx_max > opt.dx_limit) ? opt.dx_limit / dx_max : 1.0;
+  for (std::size_t i = 0; i < n; ++i) x[i] += scale * (ws.x_new[i] - x[i]);
+  return false;
+}
+
+// ------------------------------------------------------------ port reduction
+
+/// Set the port set to the union of the current ports and `ids`.
+void add_ports(ModeSystem& sys, std::span<const int> ids) {
+  sys.ports.insert(sys.ports.end(), ids.begin(), ids.end());
+  std::sort(sys.ports.begin(), sys.ports.end());
+  sys.ports.erase(std::unique(sys.ports.begin(), sys.ports.end()), sys.ports.end());
+  std::fill(sys.port_of.begin(), sys.port_of.end(), -1);
+  for (std::size_t k = 0; k < sys.ports.size(); ++k)
+    sys.port_of[static_cast<std::size_t>(sys.ports[k])] = static_cast<int>(k);
+}
+
+/// Discover the mode's port set at `state` (a port-stamping pass with no
+/// ports records every unknown the nonlinear devices touch) and decide the
+/// engagement rule once per run.
+void resolve_ports(ModeSystem& sys, NewtonWorkspace& ws, const SimState& state,
+                   std::size_t n) {
+  if (sys.use_ports >= 0) return;
+  sys.ports.clear();
+  sys.port_of.assign(n, -1);
+  PortStamper st(sys.port_of, ws.gp, ws.rp);
+  for (const Device* dev : ws.nonlinear_devs) dev->stamp(st, state);
+  add_ports(sys, st.missed());
+  sys.use_ports = 8 * sys.ports.size() <= n ? 1 : 0;
+  sys.a0_ready = false;
+}
+
+/// Factor the mode's assembled matrix (sys.a when sparse, ws.g when
+/// dense); throws std::runtime_error when it is singular.
+void factor_mode(ModeSystem& sys, bool sparse, const NewtonWorkspace& ws) {
+  count_factorization();
+  obs::Span sp_factor("factor");
+  if (sparse)
+    sys.lu.factor(sys.a);
+  else
+    sys.dense_lu.factor(ws.g);
+}
+
+void solve_mode(const ModeSystem& sys, bool sparse, std::span<double> b) {
+  if (sparse)
+    sys.lu.solve_in_place(b);
+  else
+    sys.dense_lu.solve_in_place(b);
+}
+
+/// Z = A0^-1 E_P (one back-substitution per port) and Zpp = Z[P, :].
+void compute_z(ModeSystem& sys, bool sparse) {
+  const std::size_t n = sys.port_of.size();
+  const std::size_t p = sys.ports.size();
+  sys.z.assign(n * p, 0.0);
+  sys.zpp = linalg::Matrix(p, p);
+  for (std::size_t j = 0; j < p; ++j) {
+    const std::span<double> col(sys.z.data() + j * n, n);
+    col[static_cast<std::size_t>(sys.ports[j])] = 1.0;
+    solve_mode(sys, sparse, col);
+    for (std::size_t a = 0; a < p; ++a)
+      sys.zpp(a, j) = col[static_cast<std::size_t>(sys.ports[a])];
+  }
+}
+
+/// Stamp and factor the mode's linear block A0 (+ gmin) and compute Z,
+/// unless both are cached for (dt, gmin). A singular A0 disengages the
+/// reduction for the rest of the run (returns false).
+bool prepare_a0(ModeSystem& sys, bool sparse, NewtonWorkspace& ws, const SimState& state,
+                const TransientOptions& opt, SolveStats* stats) {
+  if (sys.a0_ready && sys.key_dt == state.dt && sys.key_gmin == opt.gmin) return true;
+  sys.a0_ready = false;
+  assemble(sys, sparse, ws, ws.linear_devs, state, opt, stats);
+  try {
+    factor_mode(sys, sparse, ws);
+  } catch (const std::runtime_error&) {
+    sys.use_ports = 0;
+    return false;
+  }
+  compute_z(sys, sparse);
+  sys.a0_ready = true;
+  sys.key_dt = state.dt;
+  sys.key_gmin = opt.gmin;
+  return true;
+}
+
+/// Damped Newton on the port border (see NewtonWorkspace for the algebra).
+bool port_newton(ModeSystem& sys, bool sparse, NewtonWorkspace& ws, std::vector<double>& x,
+                 const SimState& state, const TransientOptions& opt, SolveStats* stats) {
+  const std::size_t n = x.size();
+  const robust::FaultCtx fctx = fault_ctx(opt);
+
+  // x0 = A0^-1 b0: the interconnect's response to its own sources and
+  // history with every port current zero.
+  std::fill(ws.x0.begin(), ws.x0.end(), 0.0);
+  {
+    RhsStamper st(ws.x0);
+    for (const Device* dev : ws.linear_devs) dev->stamp(st, state);
+  }
+  solve_mode(sys, sparse, ws.x0);
+
+  if (ws.nonlinear_devs.empty()) {
+    // Linear circuit: x0 is the exact solution, no damping loop needed.
+    if (stats) ++stats->total_newton_iters;
+    probe_factor_fault(fctx, opt, state.t, ws);
+    std::copy(ws.x0.begin(), ws.x0.end(), x.begin());
     return true;
   }
 
   for (int it = 0; it < opt.max_newton; ++it) {
-    check_deadline();
+    check_deadline(opt, state.t, ws);
     if (stats) ++stats->total_newton_iters;
-    assemble();
-    probe_factor_fault();
+    for (int attempt = 0;; ++attempt) {
+      const std::size_t p = sys.ports.size();
+      if (ws.gp.rows() != p) {
+        ws.gp = linalg::Matrix(p, p);
+        ws.port_m = linalg::Matrix(p, p);
+      }
+      ws.gp.fill(0.0);
+      ws.rp.assign(p, 0.0);
+      PortStamper st(sys.port_of, ws.gp, ws.rp);
+      for (const Device* dev : ws.nonlinear_devs) dev->stamp(st, state);
+      if (st.missed().empty()) break;
+      // A nonlinear stamp left the port set (state-dependent structure):
+      // grow it and extend Z against the cached A0 factors.
+      if (attempt >= 3)
+        throw robust::SolveError(solve_error_info(robust::FailureKind::kPatternUnstable,
+                                                  "newton_solve", opt, state.t, ws));
+      count_restamp(stats);
+      add_ports(sys, st.missed());
+      compute_z(sys, sparse);
+    }
+    probe_factor_fault(fctx, opt, state.t, ws);
+
+    // (I + Gp Zpp) y = rp - Gp x0[P]
+    const std::size_t p = sys.ports.size();
+    ws.y.resize(p);
+    for (std::size_t a = 0; a < p; ++a) {
+      double r = ws.rp[a];
+      for (std::size_t b = 0; b < p; ++b) ws.port_m(a, b) = a == b ? 1.0 : 0.0;
+      for (std::size_t c = 0; c < p; ++c) {
+        const double g = ws.gp(a, c);
+        if (g == 0.0) continue;
+        r -= g * ws.x0[static_cast<std::size_t>(sys.ports[c])];
+        for (std::size_t b = 0; b < p; ++b) ws.port_m(a, b) += g * sys.zpp(c, b);
+      }
+      ws.y[a] = r;
+    }
     try {
-      obs::Span sp_factor("factor");
-      if (sys)
-        sys->lu.factor(sys->a);
-      else
-        ws.lu.factor(ws.g);
+      ws.port_lu.factor(ws.port_m);
     } catch (const std::runtime_error&) {
-      ws.lu_cached = false;
-      if (sys) sys->num_cached = false;
-      return false;  // singular system at this iterate
+      return false;  // singular port system at this iterate
     }
-    // The generic path leaves no reusable numeric factorization (the
-    // symbolic analysis inside the SparseLu survives on its own).
-    ws.lu_cached = false;
-    if (sys) sys->num_cached = false;
-    std::copy(ws.rhs.begin(), ws.rhs.end(), ws.x_new.begin());
-    if (sys)
-      sys->lu.solve_in_place(ws.x_new);
-    else
-      ws.lu.solve_in_place(ws.x_new);
+    ws.port_lu.solve_in_place(ws.y);
 
-    double dx_max = 0.0;
-    for (std::size_t i = 0; i < n; ++i)
-      dx_max = std::max(dx_max, std::abs(ws.x_new[i] - x[i]));
-    if (ws.residual_history.size() >= NewtonWorkspace::kResidualHistoryCap)
-      ws.residual_history.erase(ws.residual_history.begin());
-    ws.residual_history.push_back(dx_max);
-
-    if (dx_max <= opt.tol) {
-      std::copy(ws.x_new.begin(), ws.x_new.end(), x.begin());
-      return true;
+    // x_new = x0 + Z y
+    std::copy(ws.x0.begin(), ws.x0.end(), ws.x_new.begin());
+    for (std::size_t j = 0; j < p; ++j) {
+      const double yj = ws.y[j];
+      const double* col = sys.z.data() + j * n;
+      for (std::size_t i = 0; i < n; ++i) ws.x_new[i] += yj * col[i];
     }
-    // Damping: clamp the update so nonlinear devices cannot be thrown far
-    // outside their linearization region.
-    const double scale = (dx_max > opt.dx_limit) ? opt.dx_limit / dx_max : 1.0;
-    for (std::size_t i = 0; i < n; ++i) x[i] += scale * (ws.x_new[i] - x[i]);
+    if (accept_or_damp(ws, x, opt)) return true;
   }
   return false;
 }
 
-void dc_operating_point_impl(Circuit& ckt, NewtonWorkspace& ws, bool linear,
-                             std::vector<double>& x, const TransientOptions& opt,
-                             SolveStats* stats) {
+/// Full-system damped Newton: restamp every device and refactor the whole
+/// matrix each iteration (the reference path).
+bool full_newton(Circuit& ckt, ModeSystem& sys, bool sparse, NewtonWorkspace& ws,
+                 std::vector<double>& x, const SimState& state, const TransientOptions& opt,
+                 SolveStats* stats) {
+  const robust::FaultCtx fctx = fault_ctx(opt);
+  for (int it = 0; it < opt.max_newton; ++it) {
+    check_deadline(opt, state.t, ws);
+    if (stats) ++stats->total_newton_iters;
+    assemble(sys, sparse, ws, ckt.devices(), state, opt, stats);
+    probe_factor_fault(fctx, opt, state.t, ws);
+    sys.a0_ready = false;  // the mode's factors no longer hold A0
+    try {
+      factor_mode(sys, sparse, ws);
+    } catch (const std::runtime_error&) {
+      return false;  // singular system at this iterate
+    }
+    std::copy(ws.rhs.begin(), ws.rhs.end(), ws.x_new.begin());
+    solve_mode(sys, sparse, ws.x_new);
+    if (accept_or_damp(ws, x, opt)) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
+bool newton_solve(Circuit& ckt, NewtonWorkspace& ws, std::vector<double>& x,
+                  const std::vector<double>& x_prev, double t, double dt, bool dc,
+                  double src_scale, const TransientOptions& opt, SolveStats* stats) {
+  const std::size_t n = x.size();
+  ModeSystem& sys = dc ? ws.sp_dc : ws.sp_tr;
+  const SimState state{x, x_prev, t, dt, dc, src_scale};
+  const bool sparse = resolve_sparse(ckt, sys, state, opt, n);
+  ws.residual_history.clear();
+
+  if (opt.cache_lu) {
+    resolve_ports(sys, ws, state, n);
+    if (sys.use_ports == 1 && prepare_a0(sys, sparse, ws, state, opt, stats))
+      return port_newton(sys, sparse, ws, x, state, opt, stats);
+  }
+  return full_newton(ckt, sys, sparse, ws, x, state, opt, stats);
+}
+
+void dc_operating_point_impl(Circuit& ckt, NewtonWorkspace& ws, std::vector<double>& x,
+                             const TransientOptions& opt, SolveStats* stats) {
   static const obs::Counter c_runs("ckt.dc.runs");
   static const obs::Counter c_iters("ckt.dc.newton_iters");
   static const obs::Counter c_gmin("ckt.dc.gmin_stages");
@@ -307,7 +436,7 @@ void dc_operating_point_impl(Circuit& ckt, NewtonWorkspace& ws, bool linear,
     o.max_newton = 200;
     note(o.gmin);
     ++local.dc_gmin_stages;
-    if (!newton_solve(ckt, ws, linear, x, zeros, opt.t_start, 0.0, /*dc=*/true, 1.0, o,
+    if (!newton_solve(ckt, ws, x, zeros, opt.t_start, 0.0, /*dc=*/true, 1.0, o,
                       &local)) {
       // Restart the continuation with source stepping below.
       attempted += " (diverged)";
@@ -328,7 +457,7 @@ void dc_operating_point_impl(Circuit& ckt, NewtonWorkspace& ws, bool linear,
     o.gmin = 1e-9;
     note(scale);
     ++local.dc_source_steps;
-    if (!newton_solve(ckt, ws, linear, x, zeros, opt.t_start, 0.0, true, scale, o,
+    if (!newton_solve(ckt, ws, x, zeros, opt.t_start, 0.0, true, scale, o,
                       &local)) {
       auto info = solve_error_info(robust::FailureKind::kDcDivergence,
                                    "dc_operating_point", opt, opt.t_start, ws);
@@ -340,7 +469,7 @@ void dc_operating_point_impl(Circuit& ckt, NewtonWorkspace& ws, bool linear,
   }
   TransientOptions o = opt;
   o.max_newton = 300;
-  if (!newton_solve(ckt, ws, linear, x, zeros, opt.t_start, 0.0, true, 1.0, o, &local)) {
+  if (!newton_solve(ckt, ws, x, zeros, opt.t_start, 0.0, true, 1.0, o, &local)) {
     auto info = solve_error_info(robust::FailureKind::kDcDivergence,
                                  "dc_operating_point", opt, opt.t_start, ws);
     info.detail = "final polish failed [attempted " + attempted + "]";

@@ -1,6 +1,6 @@
-// Internal Newton/MNA solve machinery shared by the scalar engine
-// (engine.cpp) and the lane-batched engine (lane_engine.cpp). Not part of
-// the public surface — include circuit/engine.hpp instead.
+// Internal Newton/MNA solve machinery of the transient engine
+// (engine.cpp). Not part of the public surface — include
+// circuit/engine.hpp instead.
 #pragma once
 
 #include <vector>
@@ -21,22 +21,20 @@ robust::SolveErrorInfo solve_error_info(robust::FailureKind kind, const char* si
                                         const TransientOptions& opt, double t,
                                         const NewtonWorkspace& ws);
 
-/// True when no device's stamp depends on the candidate solution, i.e. the
-/// MNA system G x = rhs is solved exactly by a single factorization.
-bool circuit_is_linear(const Circuit& ckt);
-
-/// Structure-discovery pass: stamp every device through a PatternStamper
-/// at `state` and return the recorded positions (0-based, ground dropped).
-std::vector<linalg::SparseCoord> stamp_pattern(Circuit& ckt, const SimState& state);
+/// Split the circuit's devices into ws.linear_devs / ws.nonlinear_devs
+/// (circuit order within each group). Call once per run, after finalize().
+void bind_devices(const Circuit& ckt, NewtonWorkspace& ws);
 
 /// One damped Newton solve of the (non)linear MNA system at a fixed
-/// (t, dt, dc, src_scale) configuration, through the backend
-/// opt.solver resolves to for this mode. Returns true on convergence;
-/// x holds the solution (or the last iterate on failure). All scratch
-/// lives in `ws`: steady-state calls perform no heap allocation. When
-/// `stats` is non-null, total_newton_iters and restamps accumulate into
-/// it (callers decide which bucket DC iterations land in).
-bool newton_solve(Circuit& ckt, NewtonWorkspace& ws, bool linear, std::vector<double>& x,
+/// (t, dt, dc, src_scale) configuration, through the backend opt.solver
+/// resolves to for this mode — port-reduced when NewtonWorkspace's
+/// engagement rule holds, full-system otherwise. Returns true on
+/// convergence; x holds the solution (or the last iterate on failure).
+/// All scratch lives in `ws` (bind_devices() must have run): steady-state
+/// calls perform no heap allocation. When `stats` is non-null,
+/// total_newton_iters and restamps accumulate into it (callers decide
+/// which bucket DC iterations land in).
+bool newton_solve(Circuit& ckt, NewtonWorkspace& ws, std::vector<double>& x,
                   const std::vector<double>& x_prev, double t, double dt, bool dc,
                   double src_scale, const TransientOptions& opt, SolveStats* stats);
 
@@ -44,8 +42,7 @@ bool newton_solve(Circuit& ckt, NewtonWorkspace& ws, bool linear, std::vector<do
 /// robust::SolveError (kDcDivergence, detail = the schedule attempted)
 /// when everything fails. When `stats` is non-null, fills
 /// dc_newton_iters / dc_gmin_stages / dc_source_steps (and restamps).
-void dc_operating_point_impl(Circuit& ckt, NewtonWorkspace& ws, bool linear,
-                             std::vector<double>& x, const TransientOptions& opt,
-                             SolveStats* stats = nullptr);
+void dc_operating_point_impl(Circuit& ckt, NewtonWorkspace& ws, std::vector<double>& x,
+                             const TransientOptions& opt, SolveStats* stats = nullptr);
 
 }  // namespace emc::ckt::detail

@@ -197,6 +197,7 @@ std::vector<double> make_log_grid(double f_lo, double f_hi, std::size_t n) {
 }
 
 void EmiScanner::load_record(const sig::Waveform& w) {
+  obs::Span span("fft");
   const std::size_t n = w.size();
   if (n < 4) throw std::invalid_argument("emi_scan: record too short");
 

@@ -375,6 +375,27 @@ void SparseLu::solve_lanes_in_place(std::span<double> b) const {
   c_solves.add();
   c_walk.add(solve_walk_);
 
+  if (L == 1 && !lane_dense_[0]) {
+    // Single-lane kernel: the per-lane sequence below without the lane
+    // loops (bit-identical), for the once-per-step solve of the engine.
+    pb_.resize(n);
+    for (std::size_t k = 0; k < n; ++k) pb_[k] = b[static_cast<std::size_t>(perm_[k])];
+    for (std::size_t i = 0; i < n; ++i) {
+      double bi = pb_[i];
+      for (std::size_t ls = l_ptr_[i]; ls < l_ptr_[i + 1]; ++ls)
+        bi -= l_val_[ls] * pb_[static_cast<std::size_t>(l_col_[ls])];
+      pb_[i] = bi;
+    }
+    for (std::size_t ii = n; ii-- > 0;) {
+      double bi = pb_[ii];
+      for (std::size_t us = u_ptr_[ii]; us < u_ptr_[ii + 1]; ++us)
+        bi -= u_val_[us] * pb_[static_cast<std::size_t>(u_col_[us])];
+      pb_[ii] = bi * inv_diag_[ii];
+    }
+    for (std::size_t k = 0; k < n; ++k) b[static_cast<std::size_t>(perm_[k])] = pb_[k];
+    return;
+  }
+
   // Permute into elimination order first; dense-fallback lanes can then
   // overwrite b directly while the batched kernel works on the copy.
   pb_.resize(n * L);

@@ -11,7 +11,6 @@
 #include <stdexcept>
 
 #include "circuit/devices_linear.hpp"
-#include "circuit/lane_engine.hpp"
 #include "circuit/netlist.hpp"
 #include "core/driver_device.hpp"
 #include "obs/metrics.hpp"
@@ -22,16 +21,10 @@ namespace emc::sweep {
 
 namespace {
 
-/// One corner's transient setup — circuit, probe, step geometry — shared
-/// verbatim between the scalar corner function and the lane-batched sweep
-/// so both simulate the identical system (device order included: the
-/// stamp order decides the sparse pattern's coordinate stream).
-struct CornerTransient {
+/// One corner's circuit: two PW-RBF drivers on the coupled lossy line.
+struct CornerCircuit {
   ckt::Circuit c;
-  int b1 = 0;                   ///< measured far-end land (the only probe)
-  std::size_t per_period = 0;   ///< frames per stimulus pattern period
-  std::size_t chunk_frames = 0;
-  ckt::TransientOptions opt;
+  int b1 = 0;  ///< measured far-end land (the only probe)
 };
 
 std::string emission_memo_key(const Scenario& sc) {
@@ -40,8 +33,7 @@ std::string emission_memo_key(const Scenario& sc) {
   return sc.bits + key;
 }
 
-/// Base transient options of a corner — what build_emission_transient
-/// would set — without building the circuit. The retry ladder escalates
+/// Base transient options of a corner. The retry ladder escalates
 /// from these; opt.context carries the corner's transient identity into
 /// failure reports and the fault harness.
 ckt::TransientOptions emission_base_options(const EmissionSweepConfig& cfg,
@@ -65,9 +57,10 @@ robust::RetryPolicy emission_retry_policy(const EmissionSweepConfig& cfg) {
   return p;
 }
 
-std::unique_ptr<CornerTransient> build_emission_transient(const EmissionSweepConfig& cfg,
-                                                          const Scenario& sc) {
-  auto out = std::make_unique<CornerTransient>();
+std::unique_ptr<CornerCircuit> build_emission_circuit(const EmissionSweepConfig& cfg,
+                                                      const Scenario& sc) {
+  obs::Span span("circuit_build");
+  auto out = std::make_unique<CornerCircuit>();
   ckt::Circuit& c = out->c;
   const int a1 = c.node();
   const int a2 = c.node();
@@ -85,12 +78,6 @@ std::unique_ptr<CornerTransient> build_emission_transient(const EmissionSweepCon
   const std::string quiet_bits(active_bits.size(), '0');
   c.add<core::DriverDevice>(a1, *cfg.model, active_bits, cfg.bit_time);
   c.add<core::DriverDevice>(a2, *cfg.model, quiet_bits, cfg.bit_time);
-
-  const double period = cfg.bit_time * static_cast<double>(sc.bits.size());
-  out->opt = emission_base_options(cfg, sc);
-  out->per_period = static_cast<std::size_t>(std::lround(period / cfg.dt));
-  out->chunk_frames =
-      std::clamp<std::size_t>(cfg.stream_budget_bytes / sizeof(double), 64, 65536);
   return out;
 }
 
@@ -142,17 +129,18 @@ spec::ComplianceReport post_process_corner(const EmissionSweepConfig& cfg,
   }
   // A scan truncated at the record's Nyquist rate must not silently
   // pass the mask — carry the dropped-point count into the report.
+  obs::Span score_span("compliance");
   return spec::check_compliance(scan.freq, *trace, cfg.mask, sc.label(),
                                 scan.skipped_points);
 }
 
-void validate_emission_config(const EmissionSweepConfig& cfg, const char* who) {
-  if (!cfg.model) throw std::invalid_argument(std::string(who) + ": null model");
+void validate_emission_config(const EmissionSweepConfig& cfg) {
+  const std::string who = "make_emission_corner_fn: ";
+  if (!cfg.model) throw std::invalid_argument(who + "null model");
   if (cfg.periods < 2)
-    throw std::invalid_argument(std::string(who) +
-                                ": need >= 2 periods (the first is discarded)");
+    throw std::invalid_argument(who + "need >= 2 periods (the first is discarded)");
   if (cfg.line.l.rows() != 2 || cfg.line.c.rows() != 2)
-    throw std::invalid_argument(std::string(who) + ": line must have 2 conductors");
+    throw std::invalid_argument(who + "line must have 2 conductors");
 }
 
 }  // namespace
@@ -240,6 +228,71 @@ SweepSummary summarize_shard(const CornerGrid& grid, std::span<const CornerResul
   return s;
 }
 
+namespace {
+
+/// Evaluate one corner into `slot` (its scenario already set) on worker
+/// scratch `ws`: the corner function, failure isolation, and the
+/// memo-derived accounting.
+void evaluate_corner(const CornerFn& fn, Workspace& ws, CornerResult& slot,
+                     std::size_t grid_index, std::size_t worker, bool isolate_failures) {
+  static const obs::Counter c_isolated("sweep.corners_isolated");
+  obs::Span corner_span("corner");
+  const auto t0 = std::chrono::steady_clock::now();
+  // memo_attempts/memo_recovered are NOT reset per corner: like the rest
+  // of the memo they describe the transient behind memo_record, so a memo
+  // hit must inherit the producing attempt's ladder accounting (pure per
+  // key — a recovered transient marks every corner that reuses it as
+  // recovered).
+  bool corner_ok = true;
+  if (isolate_failures) {
+    try {
+      slot.report = fn(slot.scenario, ws);
+    } catch (const robust::SolveError& e) {
+      // Isolate: record the failure with the corner identity attached and
+      // keep sweeping. The workspace memo still describes the last corner
+      // that SUCCEEDED, so none of the memo-derived accounting below may
+      // be copied.
+      corner_ok = false;
+      const robust::SolveError wrapped =
+          robust::with_corner(e, slot.scenario.label(), grid_index);
+      slot.solver_failed = true;
+      slot.failure = wrapped.what();
+      slot.failure_kind = robust::failure_kind_name(wrapped.info().kind);
+      slot.solve_attempts = std::max(1, wrapped.info().attempts);
+      c_isolated.add();
+    }
+  } else {
+    slot.report = fn(slot.scenario, ws);
+  }
+  if (corner_ok) {
+    // Memory and solver accounting ride the workspace (the corner function
+    // only returns a report): all of these are pure functions of the memo
+    // key, so memo hits report the same values as the corner that ran the
+    // transient and the summary stays scheduling-independent.
+    slot.streamed_record_bytes = ws.memo_streamed_bytes;
+    slot.monolithic_record_bytes = ws.memo_monolithic_bytes;
+    slot.solve = ws.memo_solve;
+    slot.transient_reused = ws.memo_hit;
+    slot.solve_attempts = std::max(1, ws.memo_attempts);
+    slot.recovered = ws.memo_recovered;
+    // Scan accounting is per corner, not per memo: the corner function
+    // overwrites ws.scan on every call.
+    slot.scan = ws.scan;
+  }
+  slot.worker = worker;
+  slot.wall_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
+}  // namespace
+
+void SweepRunner::forget_memos() {
+  for (Workspace& ws : workspaces_) {
+    ws.memo_key.clear();
+    ws.memo_record = sig::Waveform();
+  }
+}
+
 SweepRunner::SweepRunner(std::size_t jobs)
     : pool_(jobs), workspaces_(pool_.workers()) {}
 
@@ -258,10 +311,10 @@ SweepOutcome SweepRunner::run(const CornerGrid& grid, const CornerFn& fn,
                               const RunOptions& opt) {
   static const obs::Counter c_sweeps("sweep.runs");
   static const obs::Counter c_corners("sweep.corners");
-  static const obs::Counter c_isolated("sweep.corners_isolated");
   static const obs::Counter c_resumed("sweep.corners_resumed");
   obs::Span span("sweep");
   c_sweeps.add();
+  forget_memos();
 
   ShardRange shard = opt.shard;
   shard.end = std::min(shard.end, grid.size());
@@ -310,56 +363,10 @@ SweepOutcome SweepRunner::run(const CornerGrid& grid, const CornerFn& fn,
           aborted.store(true, std::memory_order_relaxed);
           return;
         }
-        obs::Span corner_span("corner");
-        const auto t0 = std::chrono::steady_clock::now();
         CornerResult& slot = out.results[index];
         slot.scenario = grid.at(shard.begin + index);
-        // memo_attempts/memo_recovered are NOT reset per corner: like the
-        // rest of the memo they describe the transient behind memo_record,
-        // so a memo hit must inherit the producing attempt's ladder
-        // accounting (pure per key — a recovered transient marks every
-        // corner that reuses it as recovered).
-        Workspace& ws = workspaces_[worker];
-        bool corner_ok = true;
-        if (opt.isolate_failures) {
-          try {
-            slot.report = fn(slot.scenario, ws);
-          } catch (const robust::SolveError& e) {
-            // Isolate: record the failure with the corner identity
-            // attached and keep sweeping. The workspace memo still
-            // describes the last corner that SUCCEEDED, so none of the
-            // memo-derived accounting below may be copied.
-            corner_ok = false;
-            const robust::SolveError wrapped = robust::with_corner(
-                e, slot.scenario.label(), shard.begin + index);
-            slot.solver_failed = true;
-            slot.failure = wrapped.what();
-            slot.failure_kind = robust::failure_kind_name(wrapped.info().kind);
-            slot.solve_attempts = std::max(1, wrapped.info().attempts);
-            c_isolated.add();
-          }
-        } else {
-          slot.report = fn(slot.scenario, ws);
-        }
-        if (corner_ok) {
-          // Memory and solver accounting ride the workspace (the corner
-          // function only returns a report): all of these are pure
-          // functions of the memo key, so memo hits report the same
-          // values as the corner that ran the transient and the summary
-          // stays scheduling-independent.
-          slot.streamed_record_bytes = ws.memo_streamed_bytes;
-          slot.monolithic_record_bytes = ws.memo_monolithic_bytes;
-          slot.solve = ws.memo_solve;
-          slot.transient_reused = ws.memo_hit;
-          slot.solve_attempts = std::max(1, ws.memo_attempts);
-          slot.recovered = ws.memo_recovered;
-          // Scan accounting is per corner, not per memo: the corner
-          // function overwrites ws.scan on every call.
-          slot.scan = ws.scan;
-        }
-        slot.worker = worker;
-        slot.wall_s =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+        evaluate_corner(fn, workspaces_[worker], slot, shard.begin + index, worker,
+                        opt.isolate_failures);
         if (journal) journal->append(corner_journal_json(shard.begin + index, slot));
         const std::size_t k = done.fetch_add(1, std::memory_order_relaxed) + 1;
         if (opt.progress) opt.progress(k, n);
@@ -529,7 +536,7 @@ obs::Json corner_result_json(const CornerResult& r) {
 }
 
 CornerFn make_emission_corner_fn(const EmissionSweepConfig& cfg) {
-  validate_emission_config(cfg, "make_emission_corner_fn");
+  validate_emission_config(cfg);
 
   return [cfg](const Scenario& sc, Workspace& ws) -> spec::ComplianceReport {
     // The transient depends only on (pattern, line length, load); the
@@ -545,6 +552,8 @@ CornerFn make_emission_corner_fn(const EmissionSweepConfig& cfg) {
     (ws.memo_hit ? c_hits : c_misses).add();
     if (!ws.memo_hit) {
       const double period = cfg.bit_time * static_cast<double>(sc.bits.size());
+      const std::size_t chunk_frames =
+          std::clamp<std::size_t>(cfg.stream_budget_bytes / sizeof(double), 64, 65536);
       // The transient runs under the retry/escalation ladder: a failing
       // solve is retried with cumulatively stronger numerics, and the
       // ladder schedule is a pure function of the corner, so retried
@@ -555,11 +564,8 @@ CornerFn make_emission_corner_fn(const EmissionSweepConfig& cfg) {
           [&](const ckt::TransientOptions& opt) {
             // Per-corner circuit: everything mutable lives here; the
             // macromodel is shared const across workers.
-            auto tr = build_emission_transient(cfg, sc);
-            tr->opt = opt;
-            // The ladder may have halved dt; the steady-state window is a
-            // frame count, so recompute it against the attempt's step.
-            tr->per_period = static_cast<std::size_t>(std::lround(period / opt.dt));
+            const auto cc = build_emission_circuit(cfg, sc);
+            const auto per_period = static_cast<std::size_t>(std::lround(period / opt.dt));
 
             // Streamed transient: probe only the measured land and record
             // only the steady-state window (drop the first pattern period
@@ -567,23 +573,21 @@ CornerFn make_emission_corner_fn(const EmissionSweepConfig& cfg) {
             // coherently sampled). The engine never materializes the full
             // all-unknowns record; the chunk staging buffer lives in
             // ws.newton and is reused across every corner this worker runs.
-            const int probes[] = {tr->b1};
-            sig::RecordingSink rec(
-                tr->per_period,
-                tr->per_period * static_cast<std::size_t>(cfg.periods - 1));
-            ws.memo_solve = ckt::run_transient_streamed(tr->c, tr->opt, ws.newton,
-                                                        probes, rec, tr->chunk_frames);
+            const int probes[] = {cc->b1};
+            sig::RecordingSink rec(per_period,
+                                   per_period * static_cast<std::size_t>(cfg.periods - 1));
+            ws.memo_solve = ckt::run_transient_streamed(cc->c, opt, ws.newton, probes, rec,
+                                                        chunk_frames);
             // Single-channel recording: the flat buffer IS the steady
             // record — move it out instead of copying through waveform().
-            ws.memo_record = sig::Waveform(
-                tr->opt.t_start + tr->opt.dt * static_cast<double>(tr->per_period),
-                tr->opt.dt, std::move(rec).take_data());
+            ws.memo_record =
+                sig::Waveform(opt.t_start + opt.dt * static_cast<double>(per_period), opt.dt,
+                              std::move(rec).take_data());
 
-            const auto n_unknowns = static_cast<std::size_t>(tr->c.finalize());
+            const auto n_unknowns = static_cast<std::size_t>(cc->c.finalize());
             const auto n_frames =
-                static_cast<std::size_t>(std::llround(tr->opt.t_stop / tr->opt.dt)) + 1;
-            ws.memo_streamed_bytes =
-                (tr->chunk_frames + ws.memo_record.size()) * sizeof(double);
+                static_cast<std::size_t>(std::llround(opt.t_stop / opt.dt)) + 1;
+            ws.memo_streamed_bytes = (chunk_frames + ws.memo_record.size()) * sizeof(double);
             ws.memo_monolithic_bytes = n_frames * n_unknowns * sizeof(double);
           });
       ws.memo_attempts = ro.attempts;
@@ -593,213 +597,6 @@ CornerFn make_emission_corner_fn(const EmissionSweepConfig& cfg) {
 
     return post_process_corner(cfg, sc, ws.memo_record, ws.scanner, ws.scan);
   };
-}
-
-namespace {
-
-/// Lane-batched evaluation of `corner_list` (grid indices, ascending):
-/// the grouping / lockstep-batching / demotion engine shared by
-/// run_emission_sweep_lanes (whole grid) and refine_emission_sweep_lanes
-/// (only the corners an axis subdivision added). Results land in the
-/// matching results[index] slots; other slots are untouched.
-void run_lanes_over(const EmissionSweepConfig& cfg, const CornerGrid& grid,
-                    std::span<const std::size_t> corner_list, std::size_t max_lanes,
-                    std::vector<CornerResult>& results, LaneSweepInfo& acc) {
-  // One transient group per distinct memo key: the same unit of work the
-  // scalar runner's record memo deduplicates. Keys repeat only in
-  // contiguous runs (post-processing axes vary fastest in grid order).
-  struct Group {
-    std::string key;
-    std::size_t first = 0;               ///< grid index defining the transient
-    std::vector<std::size_t> corners;    ///< grid indices sharing the record
-  };
-  std::vector<Group> groups;
-  for (const std::size_t i : corner_list) {
-    std::string key = emission_memo_key(grid.at(i));
-    if (groups.empty() || groups.back().key != key)
-      groups.push_back(Group{std::move(key), i, {}});
-    groups.back().corners.push_back(i);
-  }
-
-  spec::EmiScanner scanner;
-  ckt::LaneWorkspace lw;
-
-  std::size_t g0 = 0;
-  while (g0 < groups.size()) {
-    // Batch consecutive groups advancing the same topology through the
-    // same step count: equal line length (fixes the section count and the
-    // unknown count) and equal pattern length (fixes t_stop).
-    const Scenario sc0 = grid.at(groups[g0].first);
-    std::size_t g1 = g0 + 1;
-    while (g1 < groups.size() && g1 - g0 < max_lanes) {
-      const Scenario sc = grid.at(groups[g1].first);
-      if (sc.line_length != sc0.line_length || sc.bits.size() != sc0.bits.size()) break;
-      ++g1;
-    }
-    const std::size_t L = g1 - g0;
-
-    const auto t0 = std::chrono::steady_clock::now();
-    std::vector<std::unique_ptr<CornerTransient>> built;
-    std::vector<ckt::Circuit*> lanes;
-    std::vector<sig::RecordingSink> recs;
-    std::vector<sig::SampleSink*> sinks;
-    built.reserve(L);
-    recs.reserve(L);
-    for (std::size_t l = 0; l < L; ++l) {
-      built.push_back(build_emission_transient(cfg, grid.at(groups[g0 + l].first)));
-      recs.emplace_back(built[l]->per_period,
-                        built[l]->per_period * static_cast<std::size_t>(cfg.periods - 1));
-    }
-    for (std::size_t l = 0; l < L; ++l) {
-      lanes.push_back(&built[l]->c);
-      sinks.push_back(&recs[l]);
-    }
-
-    std::vector<std::string> keys(L);
-    for (std::size_t l = 0; l < L; ++l) keys[l] = groups[g0 + l].key;
-
-    const int probes[] = {built[0]->b1};
-    const auto stats = ckt::run_transient_lanes(lanes, built[0]->opt, lw, probes, sinks,
-                                                built[0]->chunk_frames, keys);
-    acc.batches += 1;
-    acc.transients += L;
-    acc.batched_walk_entries += stats.batched_walk_entries;
-    acc.scalar_walk_entries += stats.scalar_walk_entries;
-
-    std::size_t batch_corners = 0;
-    for (std::size_t l = 0; l < L; ++l) batch_corners += groups[g0 + l].corners.size();
-
-    for (std::size_t l = 0; l < L; ++l) {
-      const CornerTransient& tr = *built[l];
-      const Scenario lane_sc = grid.at(groups[g0 + l].first);
-      const auto n_unknowns = static_cast<std::size_t>(built[l]->c.finalize());
-
-      sig::Waveform steady;
-      ckt::SolveStats lane_solve = stats.lanes[l];
-      std::size_t streamed_bytes = 0;
-      std::size_t monolithic_bytes = 0;
-      int lane_attempts = 1;
-      bool lane_recovered = false;
-      std::unique_ptr<robust::SolveError> lane_error;
-
-      if (!stats.failures[l].failed) {
-        steady = sig::Waveform(
-            tr.opt.t_start + tr.opt.dt * static_cast<double>(tr.per_period), tr.opt.dt,
-            std::move(recs[l]).take_data());
-        const auto n_frames =
-            static_cast<std::size_t>(std::llround(tr.opt.t_stop / tr.opt.dt)) + 1;
-        streamed_bytes = (tr.chunk_frames + steady.size()) * sizeof(double);
-        monolithic_bytes = n_frames * n_unknowns * sizeof(double);
-      } else {
-        // Lane demotion: the batched transient isolated this lane (its
-        // frozen record is unusable) while the survivors continued. Evict
-        // it to a scalar retry under the escalation ladder — the scalar
-        // base attempt reruns the identical arithmetic, so a lane that
-        // would also fail scalar walks the same ladder the scalar runner
-        // would have walked.
-        ++acc.demoted;
-        const double period = cfg.bit_time * static_cast<double>(lane_sc.bits.size());
-        try {
-          const robust::RetryOutcome ro = robust::run_with_escalation(
-              emission_retry_policy(cfg), emission_base_options(cfg, lane_sc),
-              [&](const ckt::TransientOptions& opt) {
-                auto rtr = build_emission_transient(cfg, lane_sc);
-                rtr->opt = opt;
-                rtr->per_period =
-                    static_cast<std::size_t>(std::lround(period / opt.dt));
-                const int rprobes[] = {rtr->b1};
-                sig::RecordingSink rec(
-                    rtr->per_period,
-                    rtr->per_period * static_cast<std::size_t>(cfg.periods - 1));
-                lane_solve = ckt::run_transient_streamed(rtr->c, rtr->opt, lw.scalar,
-                                                         rprobes, rec, rtr->chunk_frames);
-                steady = sig::Waveform(
-                    rtr->opt.t_start +
-                        rtr->opt.dt * static_cast<double>(rtr->per_period),
-                    rtr->opt.dt, std::move(rec).take_data());
-                const auto n_frames = static_cast<std::size_t>(
-                                          std::llround(rtr->opt.t_stop / rtr->opt.dt)) +
-                                      1;
-                streamed_bytes = (rtr->chunk_frames + steady.size()) * sizeof(double);
-                monolithic_bytes = n_frames * n_unknowns * sizeof(double);
-              });
-          lane_attempts = ro.attempts;
-          lane_recovered = ro.recovered;
-        } catch (const robust::SolveError& e) {
-          lane_error = std::make_unique<robust::SolveError>(e);
-        }
-      }
-
-      for (std::size_t idx : groups[g0 + l].corners) {
-        obs::Span corner_span("corner");
-        CornerResult& slot = results[idx];
-        slot.scenario = grid.at(idx);
-        if (lane_error) {
-          const robust::SolveError wrapped =
-              robust::with_corner(*lane_error, slot.scenario.label(), idx);
-          slot.solver_failed = true;
-          slot.failure = wrapped.what();
-          slot.failure_kind = robust::failure_kind_name(wrapped.info().kind);
-          slot.solve_attempts = std::max(1, wrapped.info().attempts);
-          slot.transient_reused = idx != groups[g0 + l].first;
-          continue;
-        }
-        slot.report = post_process_corner(cfg, slot.scenario, steady, scanner, slot.scan);
-        slot.streamed_record_bytes = streamed_bytes;
-        slot.monolithic_record_bytes = monolithic_bytes;
-        // Lane semantics match the scalar runner: every corner of a group
-        // carries the producing lane's solver stats, and only the group's
-        // defining corner "ran" its transient.
-        slot.solve = lane_solve;
-        slot.solve_attempts = lane_attempts;
-        slot.recovered = lane_recovered;
-        slot.transient_reused = idx != groups[g0 + l].first;
-      }
-    }
-    const double batch_wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    for (std::size_t l = 0; l < L; ++l)
-      for (std::size_t idx : groups[g0 + l].corners)
-        results[idx].wall_s = batch_wall / static_cast<double>(batch_corners);
-
-    g0 = g1;
-  }
-}
-
-void validate_lane_config(const EmissionSweepConfig& cfg, std::size_t max_lanes,
-                          const char* who) {
-  validate_emission_config(cfg, who);
-  if (cfg.solver == ckt::SolverKind::kDense)
-    throw std::invalid_argument(std::string(who) + ": lane batching is sparse-only");
-  if (max_lanes == 0)
-    throw std::invalid_argument(std::string(who) + ": max_lanes must be >= 1");
-}
-
-}  // namespace
-
-SweepOutcome run_emission_sweep_lanes(const EmissionSweepConfig& cfg,
-                                      const CornerGrid& grid, std::size_t max_lanes,
-                                      const MarginHistogram& histogram_spec,
-                                      LaneSweepInfo* info) {
-  validate_lane_config(cfg, max_lanes, "run_emission_sweep_lanes");
-
-  static const obs::Counter c_sweeps("sweep.runs");
-  static const obs::Counter c_corners("sweep.corners");
-  obs::Span span("sweep");
-  c_sweeps.add();
-  c_corners.add(grid.size());
-
-  SweepOutcome out;
-  out.results.resize(grid.size());
-  std::vector<std::size_t> all(grid.size());
-  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-
-  LaneSweepInfo acc;
-  run_lanes_over(cfg, grid, all, max_lanes, out.results, acc);
-
-  out.summary = summarize(grid, out.results, histogram_spec);
-  if (info) *info = acc;
-  return out;
 }
 
 namespace {
@@ -964,6 +761,7 @@ RefineOutcome SweepRunner::refine(const CornerGrid& grid, const SweepOutcome& pr
   static const obs::Counter c_reused("sweep.refine.corners_reused");
   static const obs::Counter c_evaluated("sweep.refine.corners_evaluated");
   obs::Span span("sweep_refine");
+  forget_memos();
 
   RefineOutcome out;
   const std::vector<std::size_t> fresh = carry_over_refinement(grid, prior, out);
@@ -978,66 +776,15 @@ RefineOutcome SweepRunner::refine(const CornerGrid& grid, const SweepOutcome& pr
         // Same evaluation core as run(), minus journaling/abort: fresh
         // corners are claimed in grid order, so chunks of them sharing a
         // transient still hit the worker memo.
-        obs::Span corner_span("corner");
-        const auto t0 = std::chrono::steady_clock::now();
         const std::size_t index = fresh[fi];
         CornerResult& slot = out.outcome.results[index];
         slot.scenario = out.grid.at(index);
-        Workspace& ws = workspaces_[worker];
-        bool corner_ok = true;
-        if (opt.isolate_failures) {
-          try {
-            slot.report = fn(slot.scenario, ws);
-          } catch (const robust::SolveError& e) {
-            corner_ok = false;
-            const robust::SolveError wrapped =
-                robust::with_corner(e, slot.scenario.label(), index);
-            slot.solver_failed = true;
-            slot.failure = wrapped.what();
-            slot.failure_kind = robust::failure_kind_name(wrapped.info().kind);
-            slot.solve_attempts = std::max(1, wrapped.info().attempts);
-          }
-        } else {
-          slot.report = fn(slot.scenario, ws);
-        }
-        if (corner_ok) {
-          slot.streamed_record_bytes = ws.memo_streamed_bytes;
-          slot.monolithic_record_bytes = ws.memo_monolithic_bytes;
-          slot.solve = ws.memo_solve;
-          slot.transient_reused = ws.memo_hit;
-          slot.solve_attempts = std::max(1, ws.memo_attempts);
-          slot.recovered = ws.memo_recovered;
-          slot.scan = ws.scan;
-        }
-        slot.worker = worker;
-        slot.wall_s =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-                .count();
+        evaluate_corner(fn, workspaces_[worker], slot, index, worker, opt.isolate_failures);
       },
       opt.chunk);
 
   out.outcome.workers = pool_.worker_stats();
   out.outcome.summary = summarize(out.grid, out.outcome.results, opt.histogram);
-  return out;
-}
-
-RefineOutcome refine_emission_sweep_lanes(const EmissionSweepConfig& cfg,
-                                          const CornerGrid& grid,
-                                          const SweepOutcome& prior,
-                                          std::size_t max_lanes,
-                                          const MarginHistogram& histogram_spec,
-                                          LaneSweepInfo* info) {
-  validate_lane_config(cfg, max_lanes, "refine_emission_sweep_lanes");
-  obs::Span span("sweep_refine");
-
-  RefineOutcome out;
-  const std::vector<std::size_t> fresh = carry_over_refinement(grid, prior, out);
-
-  LaneSweepInfo acc;
-  run_lanes_over(cfg, out.grid, fresh, max_lanes, out.outcome.results, acc);
-
-  out.outcome.summary = summarize(out.grid, out.outcome.results, histogram_spec);
-  if (info) *info = acc;
   return out;
 }
 

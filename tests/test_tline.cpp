@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "circuit/devices_linear.hpp"
+#include "circuit/devices_nonlinear.hpp"
 #include "circuit/engine.hpp"
 #include "circuit/netlist.hpp"
 #include "circuit/stampers.hpp"
@@ -294,6 +296,53 @@ TEST(LossyCoupledLine, AttenuatesStep) {
   const double v_lossy = run_line(66.0);
   EXPECT_GT(v_lossless, v_lossy + 0.01);
   EXPECT_GT(v_lossy, 0.2);  // but the signal still arrives
+}
+
+TEST(LossyCoupledLine, PortReducedSolveMatchesFullSystemWithClampedLoads) {
+  // Diode clamps at the far ends make the line circuit nonlinear on two
+  // port nodes: the port-reduced Newton solve (default) must track the
+  // full-system reference loop within 1e-9 V with equal iteration totals.
+  auto run_line = [](bool port_reduced) {
+    CoupledLineParams p;
+    p.l = emc::linalg::Matrix{{466e-9, 66e-9}, {66e-9, 466e-9}};
+    p.c = emc::linalg::Matrix{{66e-12, -6.6e-12}, {-6.6e-12, 66e-12}};
+    p.length = 0.1;
+    p.loss.rdc = 66.0;
+    p.loss.rskin = 1.6e-3;
+    p.loss.tan_delta = 0.001;
+
+    Circuit ckt;
+    const int src = ckt.node();
+    const int a1 = ckt.node();
+    const int a2 = ckt.node();
+    const int b1 = ckt.node();
+    const int b2 = ckt.node();
+    sg::Pwl step({{0.0, 0.0}, {0.1e-9, 0.0}, {0.2e-9, 3.3}});
+    ckt.add<VSource>(src, ckt.ground(), [step](double t) { return step(t); });
+    ckt.add<Resistor>(src, a1, 10.0);
+    ckt.add<Resistor>(a2, ckt.ground(), 50.0);
+    add_coupled_lossy_line(ckt, {a1, a2}, {b1, b2}, p, 25e-12, 0);
+    for (int b : {b1, b2}) {
+      ckt.add<Diode>(b, ckt.ground());
+      ckt.add<Diode>(ckt.ground(), b);
+      ckt.add<Capacitor>(b, ckt.ground(), 1e-12);
+    }
+    TransientOptions opt;
+    opt.dt = 25e-12;
+    opt.t_stop = 4e-9;
+    opt.cache_lu = port_reduced;
+    return run_transient(ckt, opt);
+  };
+
+  const auto reduced = run_line(true);
+  const auto full = run_line(false);
+  ASSERT_EQ(reduced.data().size(), full.data().size());
+  double max_dv = 0.0;
+  for (std::size_t i = 0; i < full.data().size(); ++i)
+    max_dv = std::max(max_dv, std::abs(reduced.data()[i] - full.data()[i]));
+  EXPECT_LT(max_dv, 1e-9);
+  EXPECT_EQ(reduced.stats.total_newton_iters, full.stats.total_newton_iters);
+  EXPECT_GT(reduced.stats.total_newton_iters, reduced.stats.steps);
 }
 
 TEST(LossyCoupledLine, SectionCountValidation) {
