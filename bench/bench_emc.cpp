@@ -9,7 +9,9 @@
 // spectra are compared per harmonic. Both are then scored against a
 // CISPR-style piecewise-log board-level mask and a swept EMI-receiver
 // measurement is timed. Results land in BENCH_emc.json with the shared
-// bench schema (see json_out.hpp).
+// bench schema (see json_out.hpp). Exit code 0 only when the
+// strong-harmonic error (< 2 GHz, within 40 dB of the carrier) is below
+// 2.5 dB and the zoom receiver path matches the reference within 0.01 dB.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -215,8 +217,13 @@ int main(int argc, char** argv) {
 
   // Gate on the macromodel reproducing the strong harmonics (the paper's
   // models track the reference to a few percent in the time domain, which
-  // must hold up as a few dB where the emission energy actually is) and on
-  // the zoom demodulation agreeing with the reference path on a real
-  // emission waveform.
-  return max_abs_err_strong < 6.0 && zoom_delta < 0.01 && base_ok ? 0 : 1;
+  // must hold up as a few dB where the emission energy actually is;
+  // measured 1.96 dB full, 2.22 dB smoke) and on the zoom demodulation
+  // agreeing with the reference path on a real emission waveform.
+  constexpr double kMaxStrongErrDb = 2.5;
+  const bool strong_ok = max_abs_err_strong < kMaxStrongErrDb;
+  if (!strong_ok)
+    std::printf("GATE FAILED: strong-harmonic error %.2f dB >= %.1f dB\n", max_abs_err_strong,
+                kMaxStrongErrDb);
+  return strong_ok && zoom_delta < 0.01 && base_ok ? 0 : 1;
 }

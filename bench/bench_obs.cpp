@@ -116,7 +116,6 @@ BusRun run_bus(const BusSpec& spec) {
   ckt::TransientOptions opt;
   opt.dt = spec.dt;
   opt.t_stop = spec.t_stop;
-  opt.solver = ckt::SolverKind::kSparse;
   ckt::NewtonWorkspace ws;
   sig::RecordingSink rec;
   const auto t0 = std::chrono::steady_clock::now();
@@ -412,10 +411,6 @@ int main(int argc, char** argv) {
       agg.merge(r.solve);
     }
   }
-  report.set("solver", "kind",
-             std::string(agg.used_sparse == 1   ? "sparse"
-                         : agg.used_sparse == 0 ? "dense"
-                                                : "mixed"));
   report.set("solver", "newton_iters", agg.total_newton_iters);
   report.set("solver", "dc_newton_iters", agg.dc_newton_iters);
   report.set("solver", "restamps", agg.restamps);

@@ -121,10 +121,6 @@ obs::Json make_report(const sweep::CornerGrid& grid, const sweep::SweepOutcome& 
       agg.merge(r.solve);
     }
   }
-  report.set("solver", "kind",
-             std::string(agg.used_sparse == 1   ? "sparse"
-                         : agg.used_sparse == 0 ? "dense"
-                                                : "mixed"));
   report.set("solver", "newton_iters", agg.total_newton_iters);
   report.set("solver", "dc_newton_iters", agg.dc_newton_iters);
   report.set("solver", "restamps", agg.restamps);

@@ -129,9 +129,9 @@ int main(int argc, char** argv) {
     plan.arm(s);
 
     s = {};
-    s.site = robust::FaultSite::kFactor;  // heals when the ladder goes dense
+    s.site = robust::FaultSite::kFactor;  // heals at the pivot stage
     s.key = key_of(1);
-    s.spare_dense = true;
+    s.spare_pivot = true;
     plan.arm(s);
 
     s = {};

@@ -1,18 +1,18 @@
-// Sparse-solver bench + gate: dense vs sparse MNA on an N-conductor
-// coupled-bus harness (crossover curve over problem size, waveform
-// agreement, speedup at >= 200 unknowns), and the port-reduced Newton
-// solve vs the full-system reference loop (TransientOptions::cache_lu =
-// false) on the same harness. Results land in BENCH_sparse.json.
+// Sparse-solver bench + gate: SparseLu's static-pivot kernel vs
+// TransientOptions::partial_pivot on an N-conductor coupled-bus harness
+// (crossover over problem size, waveform agreement, speedup at >= 200
+// unknowns), and the port-reduced Newton solve vs the full-system loop
+// (cache_lu = false). Results land in BENCH_sparse.json.
 //
 //   bench_sparse [--smoke]
 //
 // Gates (nonzero exit on failure):
-//   * dense/sparse max waveform delta <= 1e-9 and equal Newton iteration
+//   * pivot/static max waveform delta <= 1e-9 and equal Newton iteration
 //     totals at every size
 //   * port-reduced/full-system max waveform delta <= 1e-9 and equal
-//     Newton iteration totals at every size (sparse backend)
-//   * full mode only: sparse >= 3x faster than dense at >= 200 unknowns
-//     (wall clock is recorded in smoke mode but not gated)
+//     Newton iteration totals at every size (static-pivot kernel)
+//   * full mode only: static pivot >= 3x faster than partial pivoting at
+//     >= 200 unknowns (wall clock is recorded in smoke mode but not gated)
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -90,12 +90,11 @@ std::vector<int> build_bus(ckt::Circuit& c, const BusSpec& spec) {
   return far;
 }
 
-ckt::TransientOptions bus_options(const BusSpec& spec, ckt::SolverKind solver,
-                                  bool port_reduced) {
+ckt::TransientOptions bus_options(const BusSpec& spec, bool pivot, bool port_reduced) {
   ckt::TransientOptions opt;
   opt.dt = spec.dt;
   opt.t_stop = spec.t_stop;
-  opt.solver = solver;
+  opt.partial_pivot = pivot;
   opt.cache_lu = port_reduced;
   return opt;
 }
@@ -107,7 +106,7 @@ struct BusRun {
   int n_unknowns = 0;
 };
 
-BusRun run_bus(const BusSpec& spec, ckt::SolverKind solver, bool port_reduced = true) {
+BusRun run_bus(const BusSpec& spec, bool pivot, bool port_reduced = true) {
   ckt::Circuit c;
   const auto far = build_bus(c, spec);
   BusRun out;
@@ -116,7 +115,7 @@ BusRun run_bus(const BusSpec& spec, ckt::SolverKind solver, bool port_reduced = 
   ckt::NewtonWorkspace ws;
   sig::RecordingSink rec;
   const auto t0 = std::chrono::steady_clock::now();
-  const auto stats = ckt::run_transient_streamed(c, bus_options(spec, solver, port_reduced), ws, far, rec);
+  const auto stats = ckt::run_transient_streamed(c, bus_options(spec, pivot, port_reduced), ws, far, rec);
   out.wall_s = seconds_since(t0);
   out.newton_iters = stats.total_newton_iters;
   out.record = std::move(rec).take_data();
@@ -151,10 +150,7 @@ int main(int argc, char** argv) {
   bool ok = true;
 
   // ---------------------------------------------------------------- A ----
-  // Dense vs sparse crossover: the same coupled-bus transient through both
-  // backends at growing size, plus the full-system reference loop on the
-  // sparse backend. Agreement is gated everywhere; the speedup gate
-  // applies to the largest (>= 200 unknowns) harness in full mode.
+  // Kernel crossover over problem size (gates: see the file header).
   std::vector<BusSpec> sizes;
   {
     BusSpec s;
@@ -173,47 +169,47 @@ int main(int argc, char** argv) {
   double big_speedup = 0.0;
   int big_n = 0;
   std::printf("%-10s %-10s %-12s %-12s %-9s %-10s %-12s %s\n", "unknowns", "iters",
-              "dense [s]", "sparse [s]", "speedup", "max |dv|", "full [s]",
+              "pivot [s]", "static [s]", "speedup", "max |dv|", "full [s]",
               "reduced-full |dv|");
   for (const auto& spec : sizes) {
-    const auto dense = run_bus(spec, ckt::SolverKind::kDense);
-    const auto sparse = run_bus(spec, ckt::SolverKind::kSparse);
-    const auto full = run_bus(spec, ckt::SolverKind::kSparse, /*port_reduced=*/false);
-    const double dv = max_delta(dense.record, sparse.record);
-    const double dv_full = max_delta(sparse.record, full.record);
-    const double speedup = sparse.wall_s > 0.0 ? dense.wall_s / sparse.wall_s : 0.0;
+    const auto pivot = run_bus(spec, /*pivot=*/true);
+    const auto stat = run_bus(spec, /*pivot=*/false);
+    const auto full = run_bus(spec, /*pivot=*/false, /*port_reduced=*/false);
+    const double dv = max_delta(pivot.record, stat.record);
+    const double dv_full = max_delta(stat.record, full.record);
+    const double speedup = stat.wall_s > 0.0 ? pivot.wall_s / stat.wall_s : 0.0;
     std::printf("%-10d %-10ld %-12.4f %-12.4f %-9.2f %-10.3g %-12.4f %.3g\n",
-                dense.n_unknowns, dense.newton_iters, dense.wall_s, sparse.wall_s, speedup,
+                pivot.n_unknowns, pivot.newton_iters, pivot.wall_s, stat.wall_s, speedup,
                 dv, full.wall_s, dv_full);
-    if (dense.newton_iters != sparse.newton_iters || dv > 1e-9) {
-      std::printf("GATE FAILED: dense/sparse disagreement at n = %d "
+    if (pivot.newton_iters != stat.newton_iters || dv > 1e-9) {
+      std::printf("GATE FAILED: pivot/static disagreement at n = %d "
                   "(max delta %.3g, iters %ld vs %ld)\n",
-                  dense.n_unknowns, dv, dense.newton_iters, sparse.newton_iters);
+                  pivot.n_unknowns, dv, pivot.newton_iters, stat.newton_iters);
       ok = false;
     }
-    if (full.newton_iters != sparse.newton_iters || dv_full > 1e-9) {
+    if (full.newton_iters != stat.newton_iters || dv_full > 1e-9) {
       std::printf("GATE FAILED: port-reduced/full-system disagreement at n = %d "
                   "(max delta %.3g, iters %ld vs %ld)\n",
-                  dense.n_unknowns, dv_full, sparse.newton_iters, full.newton_iters);
+                  pivot.n_unknowns, dv_full, stat.newton_iters, full.newton_iters);
       ok = false;
     }
-    if (dense.n_unknowns > big_n) {
-      big_n = dense.n_unknowns;
+    if (pivot.n_unknowns > big_n) {
+      big_n = pivot.n_unknowns;
       big_speedup = speedup;
     }
     auto row = bench::Json::object();
-    row.set("n_unknowns", bench::Json::integer(dense.n_unknowns));
-    row.set("newton_iters", bench::Json::integer(dense.newton_iters));
-    row.set("dense_wall_s", bench::Json::number(dense.wall_s));
-    row.set("sparse_wall_s", bench::Json::number(sparse.wall_s));
+    row.set("n_unknowns", bench::Json::integer(pivot.n_unknowns));
+    row.set("newton_iters", bench::Json::integer(pivot.newton_iters));
+    row.set("pivot_wall_s", bench::Json::number(pivot.wall_s));
+    row.set("static_wall_s", bench::Json::number(stat.wall_s));
     row.set("speedup", bench::Json::number(speedup));
     row.set("max_waveform_delta", bench::Json::number(dv));
     row.set("full_system_wall_s", bench::Json::number(full.wall_s));
     row.set("full_system_max_delta", bench::Json::number(dv_full));
     crossover.push(std::move(row));
     doc.at("scenarios")
-        .push(bench::scenario_row("bus_n" + std::to_string(dense.n_unknowns) + "_sparse",
-                                  sparse.wall_s, sparse.newton_iters));
+        .push(bench::scenario_row("bus_n" + std::to_string(pivot.n_unknowns) + "_sparse",
+                                  stat.wall_s, stat.newton_iters));
   }
   doc.set("crossover", std::move(crossover));
   doc.set("largest_n_unknowns", bench::Json::integer(big_n));
@@ -223,7 +219,8 @@ int main(int argc, char** argv) {
     ok = false;
   }
   if (!smoke && big_speedup < 3.0) {
-    std::printf("GATE FAILED: sparse speedup %.2fx < 3x at n = %d\n", big_speedup, big_n);
+    std::printf("GATE FAILED: static-pivot speedup %.2fx < 3x at n = %d\n", big_speedup,
+                big_n);
     ok = false;
   }
 

@@ -162,10 +162,6 @@ int main(int argc, char** argv) {
   obs::RunReport report("corner_sweep");
   report.set("config", "jobs", static_cast<long>(jobs));
   report.set("config", "corners", static_cast<long>(grid.size()));
-  report.set("solver", "kind",
-             std::string(solve.used_sparse == 1   ? "sparse"
-                         : solve.used_sparse == 0 ? "dense"
-                                                  : "mixed"));
   report.set("solver", "newton_iters", solve.total_newton_iters);
   report.set("solver", "dc_newton_iters", solve.dc_newton_iters);
   report.set("solver", "steps", solve.steps);

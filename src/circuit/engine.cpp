@@ -16,7 +16,6 @@
 namespace emc::ckt {
 
 void NewtonWorkspace::resize(std::size_t n) {
-  g = linalg::Matrix(n, n);
   rhs.assign(n, 0.0);
   x_new.assign(n, 0.0);
   x0.assign(n, 0.0);
@@ -30,7 +29,6 @@ void NewtonWorkspace::resize(std::size_t n) {
 void NewtonWorkspace::invalidate() {
   for (ModeSystem* s : {&sp_tr, &sp_dc}) {
     s->pattern_ready = false;
-    s->use_sparse = -1;
     s->use_ports = -1;
     s->a0_ready = false;
   }
@@ -92,8 +90,6 @@ SolveStats run_transient_streamed(Circuit& ckt, const TransientOptions& opt,
   static const obs::Counter c_steps("ckt.transient.steps");
   static const obs::Counter c_iters("ckt.newton.iters");
   static const obs::Counter c_weak("ckt.newton.weak_steps");
-  static const obs::Counter c_sparse_runs("ckt.transient.sparse_runs");
-  static const obs::Counter c_dense_runs("ckt.transient.dense_runs");
   static const obs::Histogram h_step_iters("ckt.newton.iters_per_step");
   obs::Span span("transient");
 
@@ -115,7 +111,7 @@ SolveStats run_transient_streamed(Circuit& ckt, const TransientOptions& opt,
   // Reuse caller-owned scratch when the size already matches; cached
   // factors can never be trusted across circuits, so they are dropped
   // either way.
-  if (ws.g.rows() != static_cast<std::size_t>(n_unknowns))
+  if (ws.rhs.size() != static_cast<std::size_t>(n_unknowns))
     ws.resize(static_cast<std::size_t>(n_unknowns));
   else
     ws.invalidate();
@@ -235,12 +231,10 @@ SolveStats run_transient_streamed(Circuit& ckt, const TransientOptions& opt,
   if (buffered > 0) deliver(flushed, buffered);
   sink.finish();
 
-  stats.used_sparse = ws.sp_tr.use_sparse == 1 ? 1 : 0;
   c_runs.add();
   c_steps.add(static_cast<std::uint64_t>(stats.steps));
   c_iters.add(static_cast<std::uint64_t>(stats.total_newton_iters));
   c_weak.add(static_cast<std::uint64_t>(stats.weak_steps));
-  (stats.used_sparse == 1 ? c_sparse_runs : c_dense_runs).add();
   return stats;
 }
 

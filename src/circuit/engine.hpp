@@ -5,6 +5,8 @@
 // the paper are discrete-time systems with sampling time Ts, and locking
 // the circuit step to Ts is how they are coupled to the analog solver
 // (DESIGN.md, "Numerical design choices").
+// One linear-system path: devices stamp into the mode's sparse MNA matrix
+// and linalg::SparseLu factors it (kernel choice: kPivotBelowUnknowns).
 #pragma once
 
 #include <span>
@@ -19,16 +21,16 @@
 
 namespace emc::ckt {
 
-/// Which linear-system backend the Newton solve uses.
-///
-/// kAuto picks per run and per mode (DC stamps a different topology than
-/// the transient): dense when the system is small (n <
-/// sparse_min_unknowns, skipping even the pattern pass — identical cost
-/// and results to the pre-sparse engine), otherwise a structure-discovery
-/// pass decides by pattern density. kDense / kSparse force a backend.
-/// The selection is a pure function of the circuit structure and the
-/// options, never of values, so sweeps stay deterministic.
-enum class SolverKind { kAuto, kDense, kSparse };
+/// Systems with fewer unknowns factor with SparseLu's pivoting kernel (a
+/// fill-pattern walk costs more than a dense elimination there); larger
+/// ones with its static-pivot kernel unless TransientOptions::partial_pivot
+/// is set. Like the port rule 8p <= n, the choice depends on structure and
+/// options only, never on values, so sweeps stay deterministic.
+inline constexpr std::size_t kPivotBelowUnknowns = 64;
+
+/// Retired backend selector: holds no value, changes nothing. It keeps
+/// code copying `solver` between option structs (perfbench) compiling.
+struct RetiredSolverOption {};
 
 struct TransientOptions {
   double dt = 25e-12;      ///< fixed step; defaults to the paper's Ts = 25 ps
@@ -49,14 +51,11 @@ struct TransientOptions {
   /// (the reference behavior for regression benches).
   bool cache_lu = true;
 
-  /// Linear-system backend; see SolverKind. kAuto keeps every circuit
-  /// below sparse_min_unknowns on the dense path bit-identically to the
-  /// pre-sparse engine.
-  SolverKind solver = SolverKind::kAuto;
-  /// kAuto: smallest unknown count worth a structure pass.
-  std::size_t sparse_min_unknowns = 64;
-  /// kAuto: densest pattern (nnz / n^2) still solved sparsely.
-  double sparse_max_density = 0.25;
+  /// Factor every MNA system with partial pivoting, not only those below
+  /// kPivotBelowUnknowns (the retry ladder's "pivot" rung; reference runs).
+  /// Same iterates as the static-pivot kernel up to round-off.
+  bool partial_pivot = false;
+  RetiredSolverOption solver;  ///< no effect
 
   /// Run identity for failure reports and the fault-injection harness
   /// (the sweep layer sets it to the corner's transient key). Carried
@@ -75,18 +74,14 @@ struct TransientOptions {
 /// keeps its own). The sparse pattern is rebuilt per run (it is cheap) but
 /// the SparseLu's symbolic analysis survives as long as the pattern hash
 /// keeps matching — which is how corners sharing a topology share one
-/// symbolic analysis.
+/// symbolic analysis. `lu` holds A0's factors on the port-reduced path
+/// and the Jacobian's on the full-system path.
 struct ModeSystem {
   std::vector<linalg::SparseCoord> coords;  ///< raw stamped positions
   linalg::SparsePattern pattern;
   bool pattern_ready = false;
-  int use_sparse = -1;  ///< resolved backend for this run: -1 undecided
   linalg::SparseMatrix a;
   linalg::SparseLu lu;
-
-  /// Dense-backend factors (A0 on the port-reduced path, the Jacobian on
-  /// the full-system path); the sparse backend keeps them in `lu`.
-  linalg::LuFactor dense_lu;
 
   /// Port reduction: -1 undecided, 1 engaged, 0 full-system Newton.
   int use_ports = -1;
@@ -137,13 +132,11 @@ class NewtonWorkspace {
   /// changed size).
   void resize(std::size_t n);
 
-  /// Forget the per-run state: A0 factors, port sets, sparse patterns and
-  /// backend decisions (topology or configuration may have changed). The
-  /// sparse symbolic analyses are kept — they revalidate themselves
-  /// against the rebuilt pattern's hash.
+  /// Forget the per-run state: A0 factors, port sets and sparse patterns
+  /// (topology or configuration may have changed). The sparse symbolic
+  /// analyses are kept — they revalidate against the rebuilt pattern hash.
   void invalidate();
 
-  linalg::Matrix g;           ///< dense MNA assembly scratch
   std::vector<double> rhs;    ///< right-hand side scratch
   std::vector<double> x_new;  ///< Newton candidate scratch
 
@@ -190,10 +183,8 @@ struct SolveStats {
   long dc_newton_iters = 0;  ///< Newton iterations spent on the operating point
   long dc_gmin_stages = 0;   ///< gmin continuation stages attempted
   long dc_source_steps = 0;  ///< source-stepping stages attempted (0 = not needed)
-  int used_sparse = -1;      ///< transient backend: 1 sparse, 0 dense, -1 unknown
 
-  /// Fold another run's statistics into this one (backend: keep when
-  /// equal, -1 when mixed or unknown).
+  /// Fold another run's statistics into this one.
   void merge(const SolveStats& o) {
     total_newton_iters += o.total_newton_iters;
     steps += o.steps;
@@ -202,7 +193,6 @@ struct SolveStats {
     dc_newton_iters += o.dc_newton_iters;
     dc_gmin_stages += o.dc_gmin_stages;
     dc_source_steps += o.dc_source_steps;
-    if (used_sparse != o.used_sparse) used_sparse = -1;
   }
 };
 
@@ -261,7 +251,7 @@ TransientResult run_transient(Circuit& ckt, const TransientOptions& opt,
 /// Streaming transient analysis: instead of materializing the record, emit
 /// chunks of `chunk_frames` frames holding only the probed unknowns
 /// (flat, frame-major, in `probes` order) through `sink`. Peak memory is
-/// O(chunk_frames * probes.size()) on top of the dense solver scratch, for
+/// O(chunk_frames * probes.size()) on top of the solver scratch, for
 /// any record length — the entry point for PRBS patterns far beyond what a
 /// full record can hold.
 ///

@@ -13,13 +13,10 @@
 
 namespace emc::ckt::detail {
 
-static_assert(static_cast<int>(SolverKind::kDense) == robust::kSolverDenseAsInt,
-              "robust::FaultSpec::spare_dense assumes SolverKind::kDense == 1");
-
 robust::FaultCtx fault_ctx(const TransientOptions& opt) {
   robust::FaultCtx ctx;
   ctx.key = opt.context;
-  ctx.solver = static_cast<int>(opt.solver);
+  ctx.pivot = opt.partial_pivot;
   ctx.dt = opt.dt;
   ctx.gmin = opt.gmin;
   ctx.dx_limit = opt.dx_limit;
@@ -35,7 +32,6 @@ robust::SolveErrorInfo solve_error_info(robust::FailureKind kind, const char* si
   info.context = opt.context;
   info.t = t;
   info.dt = opt.dt;
-  info.solver = static_cast<int>(opt.solver);
   info.residual_history = ws.residual_history;
   return info;
 }
@@ -49,40 +45,18 @@ void bind_devices(const Circuit& ckt, NewtonWorkspace& ws) {
 
 namespace {
 
-/// Structure-discovery pass: stamp every device through a PatternStamper
-/// at `state` and return the recorded positions (0-based, ground dropped).
-std::vector<linalg::SparseCoord> stamp_pattern(Circuit& ckt, const SimState& state) {
-  PatternStamper ps;
-  for (const auto& dev : ckt.devices()) dev->stamp(ps, state);
-  return std::move(ps).take_coords();
-}
-
-/// Resolve the backend for this solve's mode: true selects sparse
-/// (building the mode's pattern on first use), false dense. The decision
-/// is cached in the mode until the workspace is invalidated, and depends
-/// only on structure and options — never on values.
-bool resolve_sparse(Circuit& ckt, ModeSystem& s, const SimState& state,
-                    const TransientOptions& opt, std::size_t n) {
-  if (opt.solver == SolverKind::kDense) return false;
-  if (opt.solver == SolverKind::kAuto && n < opt.sparse_min_unknowns) return false;
-
+/// Build the mode's pattern on its first solve of the run: a discovery
+/// pass stamps every device at `state` through a PatternStamper.
+void ensure_pattern(Circuit& ckt, ModeSystem& s, const SimState& state, std::size_t n) {
   if (!s.pattern_ready) {
-    s.coords = stamp_pattern(ckt, state);
+    PatternStamper ps;
+    for (const auto& dev : ckt.devices()) dev->stamp(ps, state);
+    s.coords = std::move(ps).take_coords();
     s.pattern = linalg::SparsePattern::build(n, s.coords);
     s.pattern_ready = true;
-    s.use_sparse = -1;
-    s.a.set_pattern(&s.pattern);
-  } else if (s.a.pattern() != &s.pattern) {
-    // The workspace object moved since the pattern was built; rebind.
-    s.a.set_pattern(&s.pattern);
   }
-  if (s.use_sparse < 0) {
-    const bool dense_enough =
-        static_cast<double>(s.pattern.nnz()) <=
-        opt.sparse_max_density * static_cast<double>(n) * static_cast<double>(n);
-    s.use_sparse = (opt.solver == SolverKind::kSparse || dense_enough) ? 1 : 0;
-  }
-  return s.use_sparse == 1;
+  // Also rebinds when the workspace object moved since the build.
+  if (s.a.pattern() != &s.pattern) s.a.set_pattern(&s.pattern);
 }
 
 /// Every factorization of an MNA matrix (an A0 on the port-reduced path,
@@ -99,21 +73,12 @@ void count_restamp(SolveStats* stats) {
   c_restamps.add();
 }
 
-/// Stamp `devs` into the mode's matrix (ws.g when dense, sys.a when
-/// sparse) and ws.rhs, then add gmin to the diagonal. A device stamping
-/// outside the discovered sparse pattern (state-dependent structure)
-/// grows the pattern and the assembly reruns.
+/// Stamp `devs` into the mode's matrix sys.a and ws.rhs, then add gmin to
+/// the diagonal. A device stamping outside the discovered pattern
+/// (state-dependent structure) grows the pattern and the assembly reruns.
 template <class Devs>
-void assemble(ModeSystem& sys, bool sparse, NewtonWorkspace& ws, const Devs& devs,
-              const SimState& state, const TransientOptions& opt, SolveStats* stats) {
-  if (!sparse) {
-    ws.g.fill(0.0);
-    std::fill(ws.rhs.begin(), ws.rhs.end(), 0.0);
-    DenseStamper st(ws.g, ws.rhs);
-    for (const auto& dev : devs) dev->stamp(st, state);
-    for (std::size_t i = 0; i < ws.rhs.size(); ++i) ws.g(i, i) += opt.gmin;
-    return;
-  }
+void assemble(ModeSystem& sys, NewtonWorkspace& ws, const Devs& devs, const SimState& state,
+              const TransientOptions& opt, SolveStats* stats) {
   for (int attempt = 0;; ++attempt) {
     sys.a.clear_values();
     std::fill(ws.rhs.begin(), ws.rhs.end(), 0.0);
@@ -205,26 +170,17 @@ void resolve_ports(ModeSystem& sys, NewtonWorkspace& ws, const SimState& state,
   sys.a0_ready = false;
 }
 
-/// Factor the mode's assembled matrix (sys.a when sparse, ws.g when
-/// dense); throws std::runtime_error when it is singular.
-void factor_mode(ModeSystem& sys, bool sparse, const NewtonWorkspace& ws) {
+/// Factor the mode's assembled matrix sys.a, with the pivoting kernel
+/// below kPivotBelowUnknowns or on request; throws std::runtime_error when
+/// it is singular.
+void factor_mode(ModeSystem& sys, const TransientOptions& opt) {
   count_factorization();
   obs::Span sp_factor("factor");
-  if (sparse)
-    sys.lu.factor(sys.a);
-  else
-    sys.dense_lu.factor(ws.g);
-}
-
-void solve_mode(const ModeSystem& sys, bool sparse, std::span<double> b) {
-  if (sparse)
-    sys.lu.solve_in_place(b);
-  else
-    sys.dense_lu.solve_in_place(b);
+  sys.lu.factor(sys.a, sys.a.n() < kPivotBelowUnknowns || opt.partial_pivot);
 }
 
 /// Z = A0^-1 E_P (one back-substitution per port) and Zpp = Z[P, :].
-void compute_z(ModeSystem& sys, bool sparse) {
+void compute_z(ModeSystem& sys) {
   const std::size_t n = sys.port_of.size();
   const std::size_t p = sys.ports.size();
   sys.z.assign(n * p, 0.0);
@@ -232,7 +188,7 @@ void compute_z(ModeSystem& sys, bool sparse) {
   for (std::size_t j = 0; j < p; ++j) {
     const std::span<double> col(sys.z.data() + j * n, n);
     col[static_cast<std::size_t>(sys.ports[j])] = 1.0;
-    solve_mode(sys, sparse, col);
+    sys.lu.solve_in_place(col);
     for (std::size_t a = 0; a < p; ++a)
       sys.zpp(a, j) = col[static_cast<std::size_t>(sys.ports[a])];
   }
@@ -241,18 +197,18 @@ void compute_z(ModeSystem& sys, bool sparse) {
 /// Stamp and factor the mode's linear block A0 (+ gmin) and compute Z,
 /// unless both are cached for (dt, gmin). A singular A0 disengages the
 /// reduction for the rest of the run (returns false).
-bool prepare_a0(ModeSystem& sys, bool sparse, NewtonWorkspace& ws, const SimState& state,
+bool prepare_a0(ModeSystem& sys, NewtonWorkspace& ws, const SimState& state,
                 const TransientOptions& opt, SolveStats* stats) {
   if (sys.a0_ready && sys.key_dt == state.dt && sys.key_gmin == opt.gmin) return true;
   sys.a0_ready = false;
-  assemble(sys, sparse, ws, ws.linear_devs, state, opt, stats);
+  assemble(sys, ws, ws.linear_devs, state, opt, stats);
   try {
-    factor_mode(sys, sparse, ws);
+    factor_mode(sys, opt);
   } catch (const std::runtime_error&) {
     sys.use_ports = 0;
     return false;
   }
-  compute_z(sys, sparse);
+  compute_z(sys);
   sys.a0_ready = true;
   sys.key_dt = state.dt;
   sys.key_gmin = opt.gmin;
@@ -260,7 +216,7 @@ bool prepare_a0(ModeSystem& sys, bool sparse, NewtonWorkspace& ws, const SimStat
 }
 
 /// Damped Newton on the port border (see NewtonWorkspace for the algebra).
-bool port_newton(ModeSystem& sys, bool sparse, NewtonWorkspace& ws, std::vector<double>& x,
+bool port_newton(ModeSystem& sys, NewtonWorkspace& ws, std::vector<double>& x,
                  const SimState& state, const TransientOptions& opt, SolveStats* stats) {
   const std::size_t n = x.size();
   const robust::FaultCtx fctx = fault_ctx(opt);
@@ -272,7 +228,7 @@ bool port_newton(ModeSystem& sys, bool sparse, NewtonWorkspace& ws, std::vector<
     RhsStamper st(ws.x0);
     for (const Device* dev : ws.linear_devs) dev->stamp(st, state);
   }
-  solve_mode(sys, sparse, ws.x0);
+  sys.lu.solve_in_place(ws.x0);
 
   if (ws.nonlinear_devs.empty()) {
     // Linear circuit: x0 is the exact solution, no damping loop needed.
@@ -303,7 +259,7 @@ bool port_newton(ModeSystem& sys, bool sparse, NewtonWorkspace& ws, std::vector<
                                                   "newton_solve", opt, state.t, ws));
       count_restamp(stats);
       add_ports(sys, st.missed());
-      compute_z(sys, sparse);
+      compute_z(sys);
     }
     probe_factor_fault(fctx, opt, state.t, ws);
 
@@ -342,23 +298,22 @@ bool port_newton(ModeSystem& sys, bool sparse, NewtonWorkspace& ws, std::vector<
 
 /// Full-system damped Newton: restamp every device and refactor the whole
 /// matrix each iteration (the reference path).
-bool full_newton(Circuit& ckt, ModeSystem& sys, bool sparse, NewtonWorkspace& ws,
-                 std::vector<double>& x, const SimState& state, const TransientOptions& opt,
-                 SolveStats* stats) {
+bool full_newton(Circuit& ckt, ModeSystem& sys, NewtonWorkspace& ws, std::vector<double>& x,
+                 const SimState& state, const TransientOptions& opt, SolveStats* stats) {
   const robust::FaultCtx fctx = fault_ctx(opt);
   for (int it = 0; it < opt.max_newton; ++it) {
     check_deadline(opt, state.t, ws);
     if (stats) ++stats->total_newton_iters;
-    assemble(sys, sparse, ws, ckt.devices(), state, opt, stats);
+    assemble(sys, ws, ckt.devices(), state, opt, stats);
     probe_factor_fault(fctx, opt, state.t, ws);
     sys.a0_ready = false;  // the mode's factors no longer hold A0
     try {
-      factor_mode(sys, sparse, ws);
+      factor_mode(sys, opt);
     } catch (const std::runtime_error&) {
       return false;  // singular system at this iterate
     }
     std::copy(ws.rhs.begin(), ws.rhs.end(), ws.x_new.begin());
-    solve_mode(sys, sparse, ws.x_new);
+    sys.lu.solve_in_place(ws.x_new);
     if (accept_or_damp(ws, x, opt)) return true;
   }
   return false;
@@ -372,15 +327,15 @@ bool newton_solve(Circuit& ckt, NewtonWorkspace& ws, std::vector<double>& x,
   const std::size_t n = x.size();
   ModeSystem& sys = dc ? ws.sp_dc : ws.sp_tr;
   const SimState state{x, x_prev, t, dt, dc, src_scale};
-  const bool sparse = resolve_sparse(ckt, sys, state, opt, n);
+  ensure_pattern(ckt, sys, state, n);
   ws.residual_history.clear();
 
   if (opt.cache_lu) {
     resolve_ports(sys, ws, state, n);
-    if (sys.use_ports == 1 && prepare_a0(sys, sparse, ws, state, opt, stats))
-      return port_newton(sys, sparse, ws, x, state, opt, stats);
+    if (sys.use_ports == 1 && prepare_a0(sys, ws, state, opt, stats))
+      return port_newton(sys, ws, x, state, opt, stats);
   }
-  return full_newton(ckt, sys, sparse, ws, x, state, opt, stats);
+  return full_newton(ckt, sys, ws, x, state, opt, stats);
 }
 
 void dc_operating_point_impl(Circuit& ckt, NewtonWorkspace& ws, std::vector<double>& x,

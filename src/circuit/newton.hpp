@@ -15,7 +15,7 @@ namespace emc::ckt::detail {
 robust::FaultCtx fault_ctx(const TransientOptions& opt);
 
 /// SolveErrorInfo skeleton shared by every engine throw site: kind, site,
-/// run context, time/step/solver of the attempt, and the workspace's
+/// run context, time/step of the attempt, and the workspace's
 /// Newton residual history.
 robust::SolveErrorInfo solve_error_info(robust::FailureKind kind, const char* site,
                                         const TransientOptions& opt, double t,
@@ -26,8 +26,7 @@ robust::SolveErrorInfo solve_error_info(robust::FailureKind kind, const char* si
 void bind_devices(const Circuit& ckt, NewtonWorkspace& ws);
 
 /// One damped Newton solve of the (non)linear MNA system at a fixed
-/// (t, dt, dc, src_scale) configuration, through the backend opt.solver
-/// resolves to for this mode — port-reduced when NewtonWorkspace's
+/// (t, dt, dc, src_scale) configuration — port-reduced when NewtonWorkspace's
 /// engagement rule holds, full-system otherwise. Returns true on
 /// convergence; x holds the solution (or the last iterate on failure).
 /// All scratch lives in `ws` (bind_devices() must have run): steady-state

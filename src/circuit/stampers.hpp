@@ -1,7 +1,5 @@
 // Concrete stamping targets behind the abstract ckt::Stamper interface.
 //
-// * DenseStamper: the classic dense MNA assembly (pre-sparse behavior,
-//   bit-identical to the old concrete Stamper).
 // * PatternStamper: value-free discovery pass recording every stamped
 //   (row, col) position; SparsePattern::build() turns the list into CSR.
 // * SparseStamper: assembly into a SparseMatrix. Out-of-pattern stamps
@@ -21,26 +19,6 @@
 #include "linalg/sparse.hpp"
 
 namespace emc::ckt {
-
-/// Dense MNA assembly: G(row-1, col-1) += val into a linalg::Matrix.
-class DenseStamper final : public Stamper {
- public:
-  DenseStamper(linalg::Matrix& g, std::span<double> rhs) : g_(g), rhs_(rhs) {}
-
-  void g(int row_id, int col_id, double val) override {
-    if (row_id == 0 || col_id == 0) return;
-    g_(static_cast<std::size_t>(row_id) - 1, static_cast<std::size_t>(col_id) - 1) += val;
-  }
-
-  void rhs(int row_id, double val) override {
-    if (row_id == 0) return;
-    rhs_[static_cast<std::size_t>(row_id) - 1] += val;
-  }
-
- private:
-  linalg::Matrix& g_;
-  std::span<double> rhs_;
-};
 
 /// Structure-discovery pass: records stamped matrix positions (0-based,
 /// ground dropped), ignores all values and the right-hand side.

@@ -42,7 +42,6 @@ struct SolveErrorInfo {
   long corner_index = -1;  ///< grid index; -1 outside a sweep
   double t = 0.0;          ///< simulation time of the failure (0 for DC)
   double dt = 0.0;         ///< step of the failing attempt
-  int solver = -1;         ///< ckt::SolverKind of the attempt; -1 unknown
   int attempts = 0;        ///< escalation attempts consumed; 0 = no ladder
   /// |dx|_inf per Newton iteration of the failing solve, most recent
   /// last (bounded; see NewtonWorkspace::kResidualHistoryCap).

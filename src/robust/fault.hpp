@@ -11,8 +11,8 @@
 // worker claimed the corner chunk — so fire decisions are identical for
 // any worker count. The "spare" thresholds make escalation recovery
 // deterministic too: instead of counting fires, a spec stops firing once
-// the retry ladder's options clear the configured bar (e.g. spare_dense
-// heals the fault the moment a retry forces the dense backend), so every
+// the retry ladder's options clear the configured bar (e.g. spare_pivot
+// heals the fault the moment a retry forces partial pivoting), so every
 // attempt below that stage fails identically no matter how it was
 // scheduled. Unkeyed specs match every context and are only deterministic
 // in single-threaded runs.
@@ -38,15 +38,11 @@ enum class FaultSite {
 
 const char* fault_site_name(FaultSite site);
 
-/// ckt::SolverKind::kDense as an int — this header stays free of circuit
-/// dependencies; engine.cpp static_asserts the value matches the enum.
-inline constexpr int kSolverDenseAsInt = 1;
-
 /// What the probing engine knows about the current attempt; spare
 /// thresholds are evaluated against these fields.
 struct FaultCtx {
   std::string_view key;  ///< TransientOptions::context
-  int solver = -1;       ///< ckt::SolverKind of the attempt, as int
+  bool pivot = false;    ///< TransientOptions::partial_pivot of the attempt
   double dt = 0.0;
   double gmin = 0.0;
   double dx_limit = 0.0;
@@ -63,7 +59,7 @@ struct FaultSpec {
 
   // Escalation-aware sparing: the fault heals once a retry attempt clears
   // the bar (checked statelessly per probe, so healing is deterministic).
-  bool spare_dense = false;          ///< don't fire when solver == kDense
+  bool spare_pivot = false;          ///< don't fire when pivot is set
   double spare_dt_below = 0.0;       ///< don't fire when dt < this
   double spare_gmin_at_least = 0.0;  ///< don't fire when gmin >= this
   double spare_dx_limit_below = 0.0; ///< don't fire when dx_limit < this

@@ -10,7 +10,7 @@ const char* retry_stage_name(int attempt) {
   switch (attempt) {
     case 0: return "base";
     case 1: return "dt/2";
-    case 2: return "dense";
+    case 2: return "pivot";
     case 3: return "gmin";
     case 4: return "damp";
   }
@@ -20,7 +20,7 @@ const char* retry_stage_name(int attempt) {
 ckt::TransientOptions escalate(const ckt::TransientOptions& base, int attempt) {
   ckt::TransientOptions o = base;
   if (attempt >= 1) o.dt = base.dt * 0.5;
-  if (attempt >= 2) o.solver = ckt::SolverKind::kDense;
+  if (attempt >= 2) o.partial_pivot = true;
   if (attempt >= 3) {
     o.gmin = std::max(o.gmin, 1e-9);
     o.max_newton *= 2;

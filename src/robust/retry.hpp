@@ -1,7 +1,7 @@
 // Deterministic retry/escalation ladder for failing transients.
 //
 // A corner whose solve throws robust::SolveError is retried under
-// cumulatively stronger numerics — halve dt, force the dense backend,
+// cumulatively stronger numerics — halve dt, force partial pivoting,
 // raise gmin and the iteration budget, tighten Newton damping — until an
 // attempt succeeds or the ladder is exhausted. The stage sequence is a
 // pure function of the attempt number and the base options, so retries
@@ -37,21 +37,21 @@ struct RetryPolicy {
   /// (the emission transient must run at the macromodel's sampling time
   /// Ts) set false: the "dt/2" stage then becomes a plain re-attempt at
   /// the base step and later stages keep base.dt while still adding the
-  /// dense backend, gmin and damping escalations.
+  /// pivoting, gmin and damping escalations.
   bool refine_dt = true;
 };
 
 /// Base attempt + 4 escalation stages.
 inline constexpr int kMaxLadderStages = 5;
 
-/// Stage name for attempt `a` (0-based): "base", "dt/2", "dense",
+/// Stage name for attempt `a` (0-based): "base", "dt/2", "pivot",
 /// "gmin", "damp".
 const char* retry_stage_name(int attempt);
 
 /// The options attempt `attempt` runs with — cumulative escalation:
 ///   0: base verbatim
 ///   1: dt/2
-///   2: + solver = kDense
+///   2: + partial_pivot = true (every factorization pivots)
 ///   3: + gmin raised to >= 1e-9, max_newton doubled
 ///   4: + dx_limit quartered (stronger damping), max_newton doubled again
 ckt::TransientOptions escalate(const ckt::TransientOptions& base, int attempt);

@@ -42,7 +42,6 @@ ckt::TransientOptions emission_base_options(const EmissionSweepConfig& cfg,
   ckt::TransientOptions opt;
   opt.dt = cfg.dt;
   opt.t_stop = period * static_cast<double>(cfg.periods);
-  opt.solver = cfg.solver;
   opt.context = emission_memo_key(sc);
   return opt;
 }
@@ -398,7 +397,6 @@ obs::Json solve_stats_exact_json(const ckt::SolveStats& st) {
   o.set("dc_newton", obs::Json::integer(st.dc_newton_iters));
   o.set("dc_gmin", obs::Json::integer(st.dc_gmin_stages));
   o.set("dc_source", obs::Json::integer(st.dc_source_steps));
-  o.set("used_sparse", obs::Json::integer(st.used_sparse));
   return o;
 }
 
@@ -411,7 +409,6 @@ ckt::SolveStats solve_stats_from_json(const obs::Json& o) {
   st.dc_newton_iters = o.at("dc_newton").as_integer();
   st.dc_gmin_stages = o.at("dc_gmin").as_integer();
   st.dc_source_steps = o.at("dc_source").as_integer();
-  st.used_sparse = static_cast<int>(o.at("used_sparse").as_integer());
   return st;
 }
 

@@ -440,8 +440,7 @@ struct EmissionSweepConfig {
   /// NewtonWorkspace and is reused across every corner the worker runs.
   std::size_t stream_budget_bytes = 64 * 1024;
 
-  /// MNA backend for the corner transients.
-  ckt::SolverKind solver = ckt::SolverKind::kAuto;
+  ckt::RetiredSolverOption solver;  ///< no effect (see ckt::RetiredSolverOption)
 
   /// Retry/escalation ladder for failing corner transients (see
   /// robust::RetryPolicy). The default retries; retry.enabled = false is

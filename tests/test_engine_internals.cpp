@@ -125,18 +125,26 @@ TEST(LinearFastPath, NonlinearCircuitUsesGenericPath) {
 
 namespace {
 
-/// Same unknown count as build_rlc (3 nodes + 2 branch currents) but a
-/// different connection structure => different sparsity pattern.
-int build_rc_ladder(ckt::Circuit& c) {
-  const int n1 = c.node();
-  const int n2 = c.node();
-  const int out = c.node();
-  c.add<ckt::VSource>(n1, 0, [](double t) { return t < 1e-9 ? 0.0 : 3.3; });
-  c.add<ckt::Resistor>(n1, n2, 50.0);
-  c.add<ckt::Resistor>(n2, out, 50.0);
-  c.add<ckt::Capacitor>(out, 0, 10e-12);
-  c.add<ckt::Inductor>(out, 0, 20e-9);
-  return out;
+/// Ladder past ckt::kPivotBelowUnknowns, so the static-pivot kernel and
+/// its symbolic analysis run: 66 unknowns (source node and branch, then a
+/// node and an inductor branch per rung). Series-L/shunt-C rungs, or with
+/// `shunt_l` series-R/shunt-LC rungs: equal sizes, different patterns.
+int build_line(ckt::Circuit& c, bool shunt_l = false) {
+  int prev = c.node();
+  c.add<ckt::VSource>(prev, 0, [](double t) { return t < 1e-9 ? 0.0 : 3.3; });
+  for (int k = 0; k < 32; ++k) {
+    const int nk = c.node();
+    if (shunt_l) {
+      c.add<ckt::Resistor>(prev, nk, 2.0);
+      c.add<ckt::Inductor>(nk, 0, 50e-9);
+    } else {
+      c.add<ckt::Inductor>(prev, nk, 1e-9);
+    }
+    c.add<ckt::Capacitor>(nk, 0, 0.4e-12);
+    prev = nk;
+  }
+  if (!shunt_l) c.add<ckt::Resistor>(prev, 0, 50.0);
+  return prev;
 }
 
 double max_waveform_delta(const ckt::TransientResult& a, const ckt::TransientResult& b,
@@ -181,9 +189,9 @@ TEST(WorkspaceInvalidation, SparseSymbolicSurvivesNumericDrop) {
   // (pattern-hash-validated) is reused: a second identical run re-factors
   // without re-analyzing, and an option change still matches a fresh run.
   ckt::Circuit c;
-  const int out = build_rlc(c);
+  const int out = build_line(c);
+  ASSERT_GE(static_cast<std::size_t>(c.finalize()), ckt::kPivotBelowUnknowns);
   auto opt = rlc_options();
-  opt.solver = ckt::SolverKind::kSparse;
 
   ckt::NewtonWorkspace ws;
   ckt::run_transient(c, opt, ws);
@@ -200,7 +208,7 @@ TEST(WorkspaceInvalidation, SparseSymbolicSurvivesNumericDrop) {
   opt.gmin = 1e-9;
   const auto res = ckt::run_transient(c, opt, ws);
   ckt::Circuit fresh_c;
-  build_rlc(fresh_c);
+  build_line(fresh_c);
   ckt::NewtonWorkspace fresh_ws;
   const auto ref = ckt::run_transient(fresh_c, opt, fresh_ws);
   EXPECT_EQ(max_waveform_delta(res, ref, out), 0.0);
@@ -211,13 +219,13 @@ TEST(WorkspaceInvalidation, TopologyChangeSameSizeReanalyzes) {
   // stamped pattern must trigger a fresh symbolic analysis and produce the
   // same waveforms as an unshared workspace.
   ckt::Circuit a, b, b_fresh;
-  build_rlc(a);
-  const int out_b = build_rc_ladder(b);
-  build_rc_ladder(b_fresh);
+  build_line(a);
+  const int out_b = build_line(b, /*shunt_l=*/true);
+  build_line(b_fresh, /*shunt_l=*/true);
   ASSERT_EQ(a.finalize(), b.finalize());
+  ASSERT_GE(static_cast<std::size_t>(a.finalize()), ckt::kPivotBelowUnknowns);
 
-  auto opt = rlc_options();
-  opt.solver = ckt::SolverKind::kSparse;
+  const auto opt = rlc_options();
   ckt::NewtonWorkspace ws;
   ckt::run_transient(a, opt, ws);
   EXPECT_EQ(ws.sp_tr.lu.stats().analyses, 1);
@@ -231,55 +239,51 @@ TEST(WorkspaceInvalidation, TopologyChangeSameSizeReanalyzes) {
 }
 
 TEST(SparseSolver, MatchesDenseOnNonlinearCircuit) {
-  // Different elimination orders round differently, but the converged
-  // waveforms of the two backends must agree to solver tolerance.
-  ckt::Circuit dense_c, sparse_c;
-  for (ckt::Circuit* c : {&dense_c, &sparse_c}) {
-    const int n1 = c->node();
-    c->add<ckt::VSource>(n1, 0, [](double t) { return t < 1e-9 ? 0.0 : 3.3; });
-    const int out = c->node();
-    c->add<ckt::Resistor>(n1, out, 100.0);
+  // The default static-pivot kernel vs partial_pivot past
+  // kPivotBelowUnknowns: the elimination orders round differently, but the
+  // waveforms agree to solver tolerance in as many Newton iterations.
+  ckt::Circuit static_c, pivot_c;
+  int out = 0;
+  for (ckt::Circuit* c : {&static_c, &pivot_c}) {
+    out = build_line(*c);
     c->add<ckt::Diode>(out, 0);
-    c->add<ckt::Capacitor>(out, 0, 1e-12);
   }
+  ASSERT_GE(static_cast<std::size_t>(static_c.finalize()), ckt::kPivotBelowUnknowns);
 
   auto opt = rlc_options();
-  opt.solver = ckt::SolverKind::kDense;
-  const auto res_dense = ckt::run_transient(dense_c, opt);
-  opt.solver = ckt::SolverKind::kSparse;
-  const auto res_sparse = ckt::run_transient(sparse_c, opt);
+  const auto res_static = ckt::run_transient(static_c, opt);
+  opt.partial_pivot = true;
+  const auto res_pivot = ckt::run_transient(pivot_c, opt);
 
-  ASSERT_EQ(res_dense.steps(), res_sparse.steps());
-  EXPECT_LT(max_waveform_delta(res_dense, res_sparse, 2), 1e-9);
+  ASSERT_EQ(res_static.steps(), res_pivot.steps());
+  EXPECT_GT(res_static.stats.total_newton_iters, res_static.stats.steps);  // really nonlinear
+  EXPECT_EQ(res_static.stats.total_newton_iters, res_pivot.stats.total_newton_iters);
+  EXPECT_EQ(res_static.stats.dc_newton_iters, res_pivot.stats.dc_newton_iters);
+  EXPECT_LT(max_waveform_delta(res_static, res_pivot, out), 1e-9);
 }
 
-TEST(SparseSolver, AutoSelectionByProblemSize) {
-  // kAuto on a 5-unknown circuit must not even build a sparse pattern (the
-  // dense path is bit-identical to the pre-sparse engine); shrinking the
-  // threshold flips the same circuit onto the sparse backend.
-  ckt::Circuit c;
-  build_rlc(c);
-  auto opt = rlc_options();
+TEST(SparseSolver, SymbolicAnalysisOnlyFromThePivotThresholdUp) {
+  // Below kPivotBelowUnknowns every factorization takes the pivoting
+  // kernel: no symbolic analysis, no static-pivot refactor. The ladder
+  // past it analyzes each mode's pattern exactly once.
+  ckt::Circuit small, big;
+  build_rlc(small);
+  build_line(big);
+  ASSERT_LT(static_cast<std::size_t>(small.finalize()), ckt::kPivotBelowUnknowns);
 
-  ckt::NewtonWorkspace ws;
-  ckt::run_transient(c, opt, ws);
-  EXPECT_FALSE(ws.sp_tr.pattern_ready);
-  EXPECT_EQ(ws.sp_tr.lu.stats().refactors, 0);
+  ckt::NewtonWorkspace ws_small, ws_big;
+  ckt::run_transient(small, rlc_options(), ws_small);
+  for (const ckt::ModeSystem* m : {&ws_small.sp_tr, &ws_small.sp_dc}) {
+    EXPECT_EQ(m->lu.stats().analyses, 0);
+    EXPECT_EQ(m->lu.stats().refactors, 0);
+    EXPECT_TRUE(m->lu.valid());
+  }
 
-  // Past the size gate but failing the density rule (a 5-unknown MNA
-  // pattern is nowhere near 25% sparse): the pattern is built for the
-  // decision, then the dense backend is kept.
-  opt.sparse_min_unknowns = 1;
-  ckt::run_transient(c, opt, ws);
-  EXPECT_TRUE(ws.sp_tr.pattern_ready);
-  EXPECT_EQ(ws.sp_tr.use_sparse, 0);
-  EXPECT_EQ(ws.sp_tr.lu.stats().refactors, 0);
-
-  // Relaxing the density bound flips the same circuit onto sparse.
-  opt.sparse_max_density = 1.0;
-  ckt::run_transient(c, opt, ws);
-  EXPECT_EQ(ws.sp_tr.use_sparse, 1);
-  EXPECT_GT(ws.sp_tr.lu.stats().refactors, 0);
+  ckt::run_transient(big, rlc_options(), ws_big);
+  for (const ckt::ModeSystem* m : {&ws_big.sp_tr, &ws_big.sp_dc}) {
+    EXPECT_EQ(m->lu.stats().analyses, 1);
+    EXPECT_GT(m->lu.stats().refactors, 0);
+  }
 }
 
 TEST(LinearFastPath, DcOperatingPointOfLinearDivider) {

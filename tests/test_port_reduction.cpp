@@ -103,12 +103,15 @@ TEST(PortReduction, EngagesWhenTheBorderIsSmall) {
 }
 
 TEST(PortReduction, MatchesFullSystemNewton) {
-  for (const auto solver : {ckt::SolverKind::kDense, ckt::SolverKind::kSparse}) {
+  // 64 rungs put n past kPivotBelowUnknowns: the default runs the
+  // static-pivot kernel, partial_pivot the pivoting one.
+  for (const bool pivot : {false, true}) {
     ckt::Circuit reduced_c, full_c;
-    build_clamp(reduced_c, 16);
-    build_clamp(full_c, 16);
+    build_clamp(reduced_c, 64);
+    build_clamp(full_c, 64);
+    ASSERT_GE(static_cast<std::size_t>(reduced_c.finalize()), ckt::kPivotBelowUnknowns);
     auto opt = clamp_options();
-    opt.solver = solver;
+    opt.partial_pivot = pivot;
     const auto reduced = ckt::run_transient(reduced_c, opt);
     opt.cache_lu = false;
     const auto full = ckt::run_transient(full_c, opt);
@@ -134,7 +137,6 @@ TEST(PortReduction, SingularLinearBlockFallsBackToFullSystem) {
   build(full_c);
   auto opt = clamp_options();
   opt.gmin = 0.0;
-  opt.solver = ckt::SolverKind::kSparse;
   ckt::NewtonWorkspace ws;
   const auto reduced = ckt::run_transient(reduced_c, opt, ws);
   EXPECT_EQ(ws.sp_tr.use_ports, 0);
@@ -252,7 +254,6 @@ class EmissionCorner : public ::testing::Test {
     ckt::TransientOptions opt;
     opt.dt = 25e-12;
     opt.t_stop = 1e-9 * static_cast<double>(bits);
-    opt.solver = ckt::SolverKind::kSparse;
     return opt;
   }
 

@@ -93,10 +93,10 @@ TEST(Deadline, DefaultUnarmedNeverExpires) {
 // -------------------------------------------------------------- FaultPlan
 
 robust::FaultCtx ctx_with(std::string_view key, double dt = 25e-12,
-                          double gmin = 1e-12, double dx = 0.5, int solver = 2) {
+                          double gmin = 1e-12, double dx = 0.5, bool pivot = false) {
   robust::FaultCtx c;
   c.key = key;
-  c.solver = solver;
+  c.pivot = pivot;
   c.dt = dt;
   c.gmin = gmin;
   c.dx_limit = dx;
@@ -140,7 +140,7 @@ TEST(FaultPlan, SpareThresholdsHealStatelesslyWithoutConsumingBudget) {
   robust::FaultSpec spec;
   spec.site = robust::FaultSite::kTransientStep;
   spec.remaining = 1;
-  spec.spare_dense = true;
+  spec.spare_pivot = true;
   spec.spare_dt_below = 20e-12;
   spec.spare_gmin_at_least = 1e-9;
   spec.spare_dx_limit_below = 0.2;
@@ -149,7 +149,7 @@ TEST(FaultPlan, SpareThresholdsHealStatelesslyWithoutConsumingBudget) {
   // Every spared probe leaves the budget untouched — healing must be a
   // stateless function of the attempt options, not of probe order.
   EXPECT_FALSE(plan.fire(robust::FaultSite::kTransientStep,
-                         ctx_with("k", 25e-12, 1e-12, 0.5, robust::kSolverDenseAsInt)));
+                         ctx_with("k", 25e-12, 1e-12, 0.5, /*pivot=*/true)));
   EXPECT_FALSE(plan.fire(robust::FaultSite::kTransientStep,
                          ctx_with("k", 12.5e-12, 1e-12, 0.5)));  // dt below bar
   EXPECT_FALSE(plan.fire(robust::FaultSite::kTransientStep,
@@ -185,19 +185,18 @@ TEST(RetryLadder, EscalationScheduleIsCumulative) {
   base.gmin = 1e-12;
   base.dx_limit = 0.5;
   base.max_newton = 100;
-  base.solver = ckt::SolverKind::kSparse;
 
   const auto a0 = robust::escalate(base, 0);
   EXPECT_EQ(a0.dt, base.dt);
-  EXPECT_EQ(a0.solver, ckt::SolverKind::kSparse);
+  EXPECT_FALSE(a0.partial_pivot);
 
   const auto a1 = robust::escalate(base, 1);
   EXPECT_EQ(a1.dt, base.dt * 0.5);
-  EXPECT_EQ(a1.solver, ckt::SolverKind::kSparse);
+  EXPECT_FALSE(a1.partial_pivot);
 
   const auto a2 = robust::escalate(base, 2);
   EXPECT_EQ(a2.dt, base.dt * 0.5);
-  EXPECT_EQ(a2.solver, ckt::SolverKind::kDense);
+  EXPECT_TRUE(a2.partial_pivot);
 
   const auto a3 = robust::escalate(base, 3);
   EXPECT_GE(a3.gmin, 1e-9);
@@ -208,7 +207,7 @@ TEST(RetryLadder, EscalationScheduleIsCumulative) {
   EXPECT_EQ(a4.max_newton, 400);
 
   EXPECT_STREQ(robust::retry_stage_name(0), "base");
-  EXPECT_STREQ(robust::retry_stage_name(2), "dense");
+  EXPECT_STREQ(robust::retry_stage_name(2), "pivot");
   EXPECT_STREQ(robust::retry_stage_name(4), "damp");
 }
 
@@ -231,12 +230,12 @@ TEST(RetryLadder, FirstTrySuccessRunsOnce) {
 }
 
 TEST(RetryLadder, RecoversAtTheStageThatClearsTheFault) {
-  // Fails until the ladder forces the dense backend (stage 2).
+  // Fails until the ladder forces partial pivoting (stage 2).
   int calls = 0;
   const auto out = robust::run_with_escalation(
       {}, {}, [&](const ckt::TransientOptions& opt) {
         ++calls;
-        if (opt.solver != ckt::SolverKind::kDense) throw make_err("not dense yet");
+        if (!opt.partial_pivot) throw make_err("not pivoting yet");
       });
   EXPECT_EQ(calls, 3);
   EXPECT_EQ(out.attempts, 3);
@@ -265,7 +264,7 @@ TEST(RetryLadder, ExhaustionRethrowsWithAttemptsAndLadderHistory) {
 
 TEST(RetryLadder, PinnedDtStillEscalatesEverythingElse) {
   // refine_dt=false: pipelines whose step is locked (emission transients
-  // run at the model's Ts) keep base.dt on every rung while the dense /
+  // run at the model's Ts) keep base.dt on every rung while the pivot /
   // gmin / damp escalations still apply.
   robust::RetryPolicy pinned;
   pinned.refine_dt = false;

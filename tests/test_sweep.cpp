@@ -518,7 +518,7 @@ TEST(SweepRunner, SolverTelemetryRidesWorkspaceLikeMemory) {
     if (!ws.memo_hit) {
       ws.memo_solve = {};
       ws.memo_solve.total_newton_iters = 100 + static_cast<long>(sc.pattern_seed);
-      ws.memo_solve.used_sparse = 1;
+      ws.memo_solve.restamps = 2;
       ws.memo_key = key;
     }
     return report_with_margin(1.0);
@@ -530,7 +530,7 @@ TEST(SweepRunner, SolverTelemetryRidesWorkspaceLikeMemory) {
     EXPECT_EQ(r.solve.total_newton_iters,
               100 + static_cast<long>(r.scenario.pattern_seed))
         << "corner " << r.scenario.index;
-    EXPECT_EQ(r.solve.used_sparse, 1);
+    EXPECT_EQ(r.solve.restamps, 2);
   }
   // With the chunk hint, exactly one corner per pattern ran its transient.
   std::size_t fresh = 0;
@@ -673,7 +673,7 @@ TEST(SweepJournal, CornerEntryRoundTripsBitForBit) {
   r.streamed_record_bytes = 4096;
   r.monolithic_record_bytes = 123456;
   r.solve.total_newton_iters = 321;
-  r.solve.used_sparse = 1;
+  r.solve.restamps = 3;
   r.solve_attempts = 2;
   r.recovered = true;
 
@@ -690,7 +690,7 @@ TEST(SweepJournal, CornerEntryRoundTripsBitForBit) {
   EXPECT_EQ(back.streamed_record_bytes, 4096u);
   EXPECT_EQ(back.monolithic_record_bytes, 123456u);
   EXPECT_EQ(back.solve.total_newton_iters, 321);
-  EXPECT_EQ(back.solve.used_sparse, 1);
+  EXPECT_EQ(back.solve.restamps, 3);
   // Bit-exact doubles: the whole point of the %.17g spelling.
   ASSERT_EQ(back.report.points.size(), r.report.points.size());
   EXPECT_EQ(back.report.worst_margin_db, r.report.worst_margin_db);

@@ -374,12 +374,13 @@ TEST(LossyCoupledLine, AutoSectionsRespectDt) {
   EXPECT_LE(h.sections, 16);
 }
 
-TEST(LossyCoupledLine, StampsIdenticalThroughDenseAndSparseStampers) {
+TEST(LossyCoupledLine, RhsIdenticalThroughRhsAndSparseStampers) {
   // The Fig. 3 structure — two coupled conductors, driver + quiet line,
   // capacitive far-end loads — stamped twice from identical device state:
-  // once through the dense stamper, once through pattern discovery + the
-  // sparse stamper. Every matrix entry and rhs entry must match exactly
-  // (the stampers address different storage but receive the same values).
+  // once through pattern discovery + the sparse stamper (the full-system
+  // assembly), once through the rhs-only stamper the port-reduced engine
+  // refreshes every step. The discovered pattern must hold every stamp and
+  // every rhs entry must match exactly.
   CoupledLineParams p;
   p.l = emc::linalg::Matrix{{300e-9, 60e-9}, {60e-9, 300e-9}};
   p.c = emc::linalg::Matrix{{100e-12, -20e-12}, {-20e-12, 100e-12}};
@@ -411,10 +412,9 @@ TEST(LossyCoupledLine, StampsIdenticalThroughDenseAndSparseStampers) {
   }
 
   const auto check_state = [&](const SimState& st) {
-    emc::linalg::Matrix g(n, n);
-    std::vector<double> rhs_dense(n, 0.0);
-    DenseStamper ds(g, rhs_dense);
-    for (const auto& dev : ckt.devices()) dev->stamp(ds, st);
+    std::vector<double> rhs_only(n, 0.0);
+    RhsStamper rs(rhs_only);
+    for (const auto& dev : ckt.devices()) dev->stamp(rs, st);
 
     PatternStamper ps;
     for (const auto& dev : ckt.devices()) dev->stamp(ps, st);
@@ -428,12 +428,8 @@ TEST(LossyCoupledLine, StampsIdenticalThroughDenseAndSparseStampers) {
     for (const auto& dev : ckt.devices()) dev->stamp(ss, st);
     ASSERT_TRUE(ss.missed().empty());
 
-    const auto d = a.to_dense();
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(rhs_sparse[i], rhs_dense[i]) << "rhs row " << i;
-      for (std::size_t j = 0; j < n; ++j)
-        EXPECT_EQ(d(i, j), g(i, j)) << "entry (" << i << ", " << j << ")";
-    }
+    for (std::size_t i = 0; i < n; ++i)
+      EXPECT_EQ(rhs_sparse[i], rhs_only[i]) << "rhs row " << i;
   };
 
   // DC topology: line stamps dc shorts, capacitors stamp open.
