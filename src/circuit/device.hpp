@@ -94,6 +94,16 @@ class Device {
   /// even if its stamp ignores x.
   virtual bool nonlinear() const { return false; }
 
+  /// True if the device may call Stamper::rhs() (directly or through
+  /// current_source / nonlinear_current) in any mode.
+  ///
+  /// Returning false promises the device never touches the right-hand
+  /// side — not at DC, not in transient, for no state or source scale.
+  /// The port-reduced solve then skips it in the per-step right-hand-side
+  /// pass; its matrix entries still go into every assembly. A device that
+  /// stamps a source term even once must keep the default.
+  virtual bool has_rhs() const { return true; }
+
   /// Called once per time step before the Newton loop; history-dependent
   /// companion terms are computed here (x in `st` is the previous solution).
   virtual void start_step(const SimState& st) { (void)st; }

@@ -13,6 +13,7 @@ namespace emc::ckt {
 class Resistor : public Device {
  public:
   Resistor(int a, int b, double ohms);
+  bool has_rhs() const override { return false; }
   void stamp(Stamper& s, const SimState& st) const override;
 
  private:
@@ -91,6 +92,7 @@ class ISource : public Device {
 class Vccs : public Device {
  public:
   Vccs(int a, int b, int ca, int cb, double gm);
+  bool has_rhs() const override { return false; }
   void stamp(Stamper& s, const SimState& st) const override;
 
  private:
@@ -102,6 +104,7 @@ class Vccs : public Device {
 class Vcvs : public Device {
  public:
   Vcvs(int p, int m, int ca, int cb, double k);
+  bool has_rhs() const override { return false; }
   int num_extra() const override { return 1; }
   void stamp(Stamper& s, const SimState& st) const override;
 

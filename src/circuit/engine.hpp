@@ -96,12 +96,23 @@ struct ModeSystem {
   double key_gmin = 0.0;
 };
 
-/// Reusable scratch for the Newton/MNA solve, so steady-state stepping
-/// performs no heap allocation. One workspace serves one circuit at a
-/// time; the two-argument run_transient owns one internally, and batch
-/// drivers (the emc::sweep corner runner) pass a long-lived workspace to
-/// the three-argument overload so back-to-back analyses of same-sized
-/// circuits reuse the storage and the sparse symbolic analyses.
+/// Reusable scratch for the Newton/MNA solve. One workspace serves one
+/// circuit at a time; the two-argument run_transient owns one internally,
+/// and batch drivers (the emc::sweep corner runner) pass a long-lived
+/// workspace to the three-argument overload so back-to-back analyses of
+/// same-sized circuits reuse the storage and the sparse symbolic analyses.
+///
+/// Allocation contract. Per-run set-up allocates: the operating point,
+/// each mode's pattern, port set, A0 factors and Z, post_dc seeding, and
+/// a first run that sizes the workspace. After that, a time step on the
+/// port-reduced or the full-system path makes no heap allocation in the
+/// engine, nor in the library's devices (R, L, C, sources, controlled
+/// sources, lines, table currents, the PW-RBF driver and the parametric
+/// receiver). Two exceptions: transmission lines append each step's
+/// waves to their histories (amortised vector growth), and a stamp that
+/// leaves the discovered pattern or port set grows it. On the emission
+/// corner (1,800 steps) this adds up to well under one allocation per
+/// step (tests/test_alloc_free.cpp).
 ///
 /// Port reduction. The unknowns any nonlinear() device stamps into (rows,
 /// columns or right-hand side) form the port set P, p = |P|. Every other
@@ -150,9 +161,12 @@ class NewtonWorkspace {
   std::vector<double> y;
 
   /// Devices of the circuit being solved, split by Device::nonlinear()
-  /// (circuit order within each group); set once per run.
+  /// (circuit order within each group); set once per run. rhs_devs is the
+  /// subset of linear_devs with Device::has_rhs(): the per-step b0 pass
+  /// walks only these, while A0 assembly stamps every linear device.
   std::vector<const Device*> linear_devs;
   std::vector<const Device*> nonlinear_devs;
+  std::vector<const Device*> rhs_devs;
 
   /// Chunk staging for run_transient_streamed (frame-major, chunk_frames x
   /// channels). Lives in the workspace so batch drivers streaming many

@@ -39,8 +39,11 @@ robust::SolveErrorInfo solve_error_info(robust::FailureKind kind, const char* si
 void bind_devices(const Circuit& ckt, NewtonWorkspace& ws) {
   ws.linear_devs.clear();
   ws.nonlinear_devs.clear();
-  for (const auto& dev : ckt.devices())
+  ws.rhs_devs.clear();
+  for (const auto& dev : ckt.devices()) {
     (dev->nonlinear() ? ws.nonlinear_devs : ws.linear_devs).push_back(dev.get());
+    if (!dev->nonlinear() && dev->has_rhs()) ws.rhs_devs.push_back(dev.get());
+  }
 }
 
 namespace {
@@ -222,11 +225,12 @@ bool port_newton(ModeSystem& sys, NewtonWorkspace& ws, std::vector<double>& x,
   const robust::FaultCtx fctx = fault_ctx(opt);
 
   // x0 = A0^-1 b0: the interconnect's response to its own sources and
-  // history with every port current zero.
+  // history with every port current zero. Matrix-only devices
+  // (has_rhs() == false) add nothing to b0 and are skipped.
   std::fill(ws.x0.begin(), ws.x0.end(), 0.0);
   {
     RhsStamper st(ws.x0);
-    for (const Device* dev : ws.linear_devs) dev->stamp(st, state);
+    for (const Device* dev : ws.rhs_devs) dev->stamp(st, state);
   }
   sys.lu.solve_in_place(ws.x0);
 

@@ -22,15 +22,19 @@ robust::SolveErrorInfo solve_error_info(robust::FailureKind kind, const char* si
                                         const NewtonWorkspace& ws);
 
 /// Split the circuit's devices into ws.linear_devs / ws.nonlinear_devs
-/// (circuit order within each group). Call once per run, after finalize().
+/// and list the linear ones with Device::has_rhs() in ws.rhs_devs
+/// (circuit order within each list). Call once per run, after finalize().
 void bind_devices(const Circuit& ckt, NewtonWorkspace& ws);
 
 /// One damped Newton solve of the (non)linear MNA system at a fixed
 /// (t, dt, dc, src_scale) configuration — port-reduced when NewtonWorkspace's
 /// engagement rule holds, full-system otherwise. Returns true on
 /// convergence; x holds the solution (or the last iterate on failure).
-/// All scratch lives in `ws` (bind_devices() must have run): steady-state
-/// calls perform no heap allocation. When `stats` is non-null,
+/// All scratch lives in `ws` (bind_devices() must have run). Once the
+/// mode's pattern, port set and factors are cached (the first solve of a
+/// mode in a run builds them), a call makes no heap allocation beyond
+/// what the devices' stamps make, unless a stamp grows the pattern or the
+/// port set (NewtonWorkspace's allocation contract). When `stats` is non-null,
 /// total_newton_iters and restamps accumulate into it (callers decide
 /// which bucket DC iterations land in).
 bool newton_solve(Circuit& ckt, NewtonWorkspace& ws, std::vector<double>& x,

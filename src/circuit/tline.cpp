@@ -140,11 +140,12 @@ double ModalLineSegment::wave_at(const std::vector<double>& hist, double t) cons
   return hist[k] * (1.0 - frac) + hist[k + 1] * frac;
 }
 
-std::vector<double> ModalLineSegment::modal_voltages(const SimState& st,
-                                                     const std::vector<int>& nodes) const {
-  std::vector<double> v(n_);
-  for (std::size_t k = 0; k < n_; ++k) v[k] = st.v(nodes[k]);
-  return tv_inv_.apply(v);
+double ModalLineSegment::modal_voltage(const SimState& st, const std::vector<int>& nodes,
+                                       std::size_t m) const {
+  // Row m of tv_inv * v, summed like Matrix::apply (k ascending).
+  double acc = 0.0;
+  for (std::size_t k = 0; k < n_; ++k) acc += tv_inv_(m, k) * st.v(nodes[k]);
+  return acc;
 }
 
 void ModalLineSegment::start_step(const SimState& st) {
@@ -155,14 +156,17 @@ void ModalLineSegment::start_step(const SimState& st) {
     ea_[m] = wave_at(wave_b_[m], st.t - tdm_[m]);
     eb_[m] = wave_at(wave_a_[m], st.t - tdm_[m]);
   }
-  // Physical companion current sources J = ti * diag(1/z0m) * E.
-  std::vector<double> sa(n_), sb(n_);
-  for (std::size_t m = 0; m < n_; ++m) {
-    sa[m] = ea_[m] / z0m_[m];
-    sb[m] = eb_[m] / z0m_[m];
+  // Physical companion current sources J = ti * diag(1/z0m) * E, in place
+  // (summed like Matrix::apply: m ascending).
+  for (std::size_t r = 0; r < n_; ++r) {
+    double acc_a = 0.0, acc_b = 0.0;
+    for (std::size_t m = 0; m < n_; ++m) {
+      acc_a += ti_(r, m) * (ea_[m] / z0m_[m]);
+      acc_b += ti_(r, m) * (eb_[m] / z0m_[m]);
+    }
+    ja_[r] = acc_a;
+    jb_[r] = acc_b;
   }
-  ja_ = ti_.apply(sa);
-  jb_ = ti_.apply(sb);
 }
 
 void ModalLineSegment::stamp(Stamper& s, const SimState& st) const {
@@ -184,21 +188,19 @@ void ModalLineSegment::stamp(Stamper& s, const SimState& st) const {
 
 void ModalLineSegment::commit(const SimState& st) {
   if (st.dc) return;
-  const auto vma = modal_voltages(st, na_);
-  const auto vmb = modal_voltages(st, nb_);
   const bool first = wave_a_[0].empty();
   if (first) hist_t0_ = st.t;
   for (std::size_t m = 0; m < n_; ++m) {
-    const double ima = (vma[m] - ea_[m]) / z0m_[m];
-    const double imb = (vmb[m] - eb_[m]) / z0m_[m];
-    wave_a_[m].push_back(vma[m] + z0m_[m] * ima);
-    wave_b_[m].push_back(vmb[m] + z0m_[m] * imb);
+    const double vma = modal_voltage(st, na_, m);
+    const double vmb = modal_voltage(st, nb_, m);
+    const double ima = (vma - ea_[m]) / z0m_[m];
+    const double imb = (vmb - eb_[m]) / z0m_[m];
+    wave_a_[m].push_back(vma + z0m_[m] * ima);
+    wave_b_[m].push_back(vmb + z0m_[m] * imb);
   }
 }
 
 void ModalLineSegment::post_dc(const SimState& st) {
-  const auto vma = modal_voltages(st, na_);
-  const auto vmb = modal_voltages(st, nb_);
   // Physical DC currents through the companion shorts.
   std::vector<double> idc(n_);
   for (std::size_t k = 0; k < n_; ++k)
@@ -209,8 +211,8 @@ void ModalLineSegment::post_dc(const SimState& st) {
   hist_t0_ = st.t;
   hist_dt_ = 1.0;
   for (std::size_t m = 0; m < n_; ++m) {
-    wave_a_[m].assign(1, vma[m] + z0m_[m] * im[m]);
-    wave_b_[m].assign(1, vmb[m] - z0m_[m] * im[m]);
+    wave_a_[m].assign(1, modal_voltage(st, na_, m) + z0m_[m] * im[m]);
+    wave_b_[m].assign(1, modal_voltage(st, nb_, m) - z0m_[m] * im[m]);
   }
 }
 

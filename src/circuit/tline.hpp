@@ -94,7 +94,8 @@ class ModalLineSegment : public Device {
 
  private:
   double wave_at(const std::vector<double>& hist, double t) const;
-  std::vector<double> modal_voltages(const SimState& st, const std::vector<int>& nodes) const;
+  /// Modal voltage m of the terminal set `nodes`: (tv_inv * v)[m].
+  double modal_voltage(const SimState& st, const std::vector<int>& nodes, std::size_t m) const;
 
   std::vector<int> na_, nb_;
   std::size_t n_;

@@ -65,11 +65,24 @@ void DriverDevice::stamp(ckt::Stamper& s, const ckt::SimState& st) const {
     s.nonlinear_current(pad_, 0, i0, std::max(g, 1e-9), v);
     return;
   }
-  double dh = 0.0, dl = 0.0;
-  const double ih = run_h_.peek(v, &dh);
-  const double il = run_l_.peek(v, &dl);
-  const double i = wh_ * ih + wl_ * il;
-  const double g = wh_ * dh + wl_ * dl;
+  // Only submodels with a nonzero weight are evaluated: a settled bit
+  // (weights exactly (1, 0) or (0, 1)) costs one RBF evaluation, not two.
+  // For finite submodel outputs this equals wh*ih + wl*il bit for bit; a
+  // non-finite zero-weight submodel no longer poisons the stamp (0*inf
+  // would be NaN). commit() still advances both histories.
+  double dh = 0.0, dl = 0.0, i = 0.0, g = 0.0;
+  if (wl_ == 0.0) {
+    i = wh_ * run_h_.peek(v, &dh);
+    g = wh_ * dh;
+  } else if (wh_ == 0.0) {
+    i = wl_ * run_l_.peek(v, &dl);
+    g = wl_ * dl;
+  } else {
+    const double ih = run_h_.peek(v, &dh);
+    const double il = run_l_.peek(v, &dl);
+    i = wh_ * ih + wl_ * il;
+    g = wh_ * dh + wl_ * dl;
+  }
   // A tiny conductance floor keeps the pad node well defined even when
   // the RBF gradient locally vanishes.
   s.nonlinear_current(pad_, 0, i, g, v);

@@ -7,18 +7,39 @@
 
 namespace emc::core {
 
+namespace {
+
+/// Stack scratch for one NARX regressor or either of its histories (each
+/// history is shorter than the regressor).
+using RegressorBuf = ident::RbfModel::InputBuf;
+
+/// The regressor size of `orders`, checked against the RBF input cap.
+std::size_t checked_regressor_size(const ident::NarxOrders& orders) {
+  const auto d = static_cast<std::size_t>(orders.regressor_size());
+  if (d > ident::RbfModel::kMaxInputs)
+    throw std::invalid_argument("PwRbfDriverModel: NARX regressor longer than 64 inputs");
+  return d;
+}
+
+}  // namespace
+
 double PwRbfDriverModel::submodel_current(bool high, std::span<const double> v_hist,
                                           std::span<const double> i_hist,
                                           double* d_dv) const {
   const ident::RbfModel& f = high ? f_high : f_low;
-  std::vector<double> reg(static_cast<std::size_t>(orders.regressor_size()));
+  RegressorBuf buf;
+  const std::span<double> reg(buf.data(), checked_regressor_size(orders));
   ident::fill_narx_regressor(v_hist, i_hist, orders, reg);
   return d_dv ? f.eval_with_grad(reg, 0, d_dv) : f.eval(reg);
 }
 
 double PwRbfDriverModel::steady_current(bool high, double v, int iters) const {
-  std::vector<double> v_hist(static_cast<std::size_t>(orders.nv) + 1, v);
-  std::vector<double> i_hist(static_cast<std::size_t>(orders.ni), 0.0);
+  checked_regressor_size(orders);
+  RegressorBuf vbuf, ibuf;
+  const std::span<double> v_hist(vbuf.data(), static_cast<std::size_t>(orders.nv) + 1);
+  const std::span<double> i_hist(ibuf.data(), static_cast<std::size_t>(orders.ni));
+  std::fill(v_hist.begin(), v_hist.end(), v);
+  std::fill(i_hist.begin(), i_hist.end(), 0.0);
   double i = 0.0;
   for (int it = 0; it < iters; ++it) {
     const double i_new = submodel_current(high, v_hist, i_hist);
@@ -49,7 +70,10 @@ void SubmodelState::push_front(std::vector<double>& h, double value) {
 }
 
 double SubmodelState::peek(double v, double* d_dv) const {
-  std::vector<double> vh(v_hist_.size());
+  // Candidate head in front of the committed history, on the stack.
+  checked_regressor_size(m_->orders);
+  RegressorBuf buf;
+  const std::span<double> vh(buf.data(), v_hist_.size());
   vh[0] = v;
   for (std::size_t j = 1; j < vh.size(); ++j) vh[j] = v_hist_[j - 1];
   return m_->submodel_current(high_, vh, i_hist_, d_dv);

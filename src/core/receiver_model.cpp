@@ -1,11 +1,20 @@
 #include "core/receiver_model.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 namespace emc::core {
 
 namespace {
+
+/// The first `taps` entries of `buf`, checked against the RBF input cap.
+std::span<double> clamp_input(ident::RbfModel::InputBuf& buf, int taps) {
+  const auto n = static_cast<std::size_t>(std::max(taps, 0));
+  if (n > buf.size())
+    throw std::invalid_argument("ParametricReceiverModel: nl_taps above 64 inputs");
+  return {buf.data(), n};
+}
 
 /// Evaluate an RBF clamp submodel on [v, v_hist...] (nl_taps inputs).
 /// An unfitted (default) submodel contributes nothing.
@@ -15,20 +24,26 @@ double eval_clamp(const ident::RbfModel& f, int taps, double v,
     if (d_dv) *d_dv = 0.0;
     return 0.0;
   }
-  std::vector<double> x(static_cast<std::size_t>(taps));
-  x[0] = v;
-  for (int j = 1; j < taps; ++j) x[static_cast<std::size_t>(j)] = v_hist[static_cast<std::size_t>(j - 1)];
+  ident::RbfModel::InputBuf buf;
+  const std::span<double> x = clamp_input(buf, taps);
+  for (std::size_t j = 0; j < x.size(); ++j) x[j] = j == 0 ? v : v_hist[j - 1];
   return d_dv ? f.eval_with_grad(x, 0, d_dv) : f.eval(x);
+}
+
+/// A clamp submodel's output with every voltage tap at v (0 if unfitted).
+double eval_clamp_static(const ident::RbfModel& f, int taps, double v) {
+  if (f.input_dim() == 0) return 0.0;
+  ident::RbfModel::InputBuf buf;
+  const std::span<double> x = clamp_input(buf, taps);
+  std::fill(x.begin(), x.end(), v);
+  return f.eval(x);
 }
 
 }  // namespace
 
 double ParametricReceiverModel::linear_current(double v, std::span<const double> v_hist,
                                                std::span<const double> ilin_hist) const {
-  std::vector<double> vh(lin.b.size());
-  vh[0] = v;
-  for (std::size_t j = 1; j < vh.size(); ++j) vh[j] = v_hist[j - 1];
-  return lin.predict(vh, ilin_hist.first(lin.a.size()));
+  return lin.predict(v, v_hist, ilin_hist.first(lin.a.size()));
 }
 
 double ParametricReceiverModel::current(double v, std::span<const double> v_hist,
@@ -43,7 +58,6 @@ double ParametricReceiverModel::current(double v, std::span<const double> v_hist
 }
 
 double ParametricReceiverModel::static_current(double v) const {
-  std::vector<double> v_hist(std::max<std::size_t>(lin.b.size(), 8), v);
   // Steady ARX output: i_ss = dc_gain * v for a stable AR part.
   double i_lin = 0.0;
   try {
@@ -51,9 +65,8 @@ double ParametricReceiverModel::static_current(double v) const {
   } catch (const std::runtime_error&) {
     i_lin = 0.0;  // marginal AR part: treat as zero static gain
   }
-  std::vector<double> x(static_cast<std::size_t>(nl_taps), v);
-  const double i_up = up.input_dim() ? up.eval(x) : 0.0;
-  const double i_dn = dn.input_dim() ? dn.eval(x) : 0.0;
+  const double i_up = eval_clamp_static(up, nl_taps, v);
+  const double i_dn = eval_clamp_static(dn, nl_taps, v);
   return i_lin + i_up + i_dn;
 }
 

@@ -18,6 +18,16 @@ double ArxModel::predict(std::span<const double> v_hist,
   return y;
 }
 
+double ArxModel::predict(double v_head, std::span<const double> v_tail,
+                         std::span<const double> i_hist) const {
+  if (v_tail.size() + 1 < b.size() || i_hist.size() < a.size())
+    throw std::invalid_argument("ArxModel::predict: history too short");
+  double y = 0.0;
+  for (std::size_t j = 0; j < b.size(); ++j) y += b[j] * (j == 0 ? v_head : v_tail[j - 1]);
+  for (std::size_t j = 0; j < a.size(); ++j) y += a[j] * i_hist[j];
+  return y;
+}
+
 double ArxModel::dc_gain() const {
   double asum = 0.0;
   for (double aj : a) asum += aj;

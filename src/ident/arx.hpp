@@ -22,6 +22,12 @@ struct ArxModel {
   /// v_hist = [v(k), v(k-1), ...], i_hist = [i(k-1), i(k-2), ...].
   double predict(std::span<const double> v_hist, std::span<const double> i_hist) const;
 
+  /// The same prediction with the newest input v(k) passed apart from the
+  /// older taps v_tail = [v(k-1), v(k-2), ...] (a candidate head in front
+  /// of a committed history, without copying it).
+  double predict(double v_head, std::span<const double> v_tail,
+                 std::span<const double> i_hist) const;
+
   /// DC gain i/v for a constant input (throws if the AR part is unstable
   /// in the sense of unit-sum feedback).
   double dc_gain() const;

@@ -32,8 +32,8 @@ double RbfModel::eval_with_grad(std::span<const double> x, std::size_t idx,
   const std::size_t d = scaler_.dim();
   if (x.size() != d) throw std::invalid_argument("RbfModel::eval: input size mismatch");
 
-  double zbuf[64];
-  if (d > 64) throw std::invalid_argument("RbfModel::eval: input dimension > 64");
+  double zbuf[kMaxInputs];
+  if (d > kMaxInputs) throw std::invalid_argument("RbfModel::eval: input dimension > 64");
   std::span<double> z(zbuf, d);
   scaler_.transform_row(x, z);
 
@@ -65,6 +65,43 @@ double kernel(std::span<const double> z, std::span<const double> c, double inv2s
     dist2 += d * d;
   }
   return std::exp(-dist2 * inv2s2);
+}
+
+/// Deflate the M candidates p[c[0..M)] by the selected column q (q.q = qq)
+/// and recompute their pp = p.p and py = p.yres against the already
+/// deflated target. Pass 1 takes q.p_c, pass 2 updates p_c and
+/// accumulates; every candidate keeps its own sequential accumulators.
+template <std::size_t M>
+void deflate_block(const std::size_t* c, std::vector<std::vector<double>>& p,
+                   std::span<const double> q, double qq, const std::vector<double>& yres,
+                   std::vector<double>& pp, std::vector<double>& py) {
+  const std::size_t n = q.size();
+  double* pc[M];
+  double qc[M];
+  for (std::size_t m = 0; m < M; ++m) {
+    pc[m] = p[c[m]].data();
+    qc[m] = 0.0;
+  }
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t m = 0; m < M; ++m) qc[m] += q[r] * pc[m][r];
+  double acc_pp[M], acc_py[M];
+  for (std::size_t m = 0; m < M; ++m) {
+    qc[m] /= qq;
+    acc_pp[m] = 0.0;
+    acc_py[m] = 0.0;
+  }
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t m = 0; m < M; ++m) {
+      const double v = pc[m][r] - qc[m] * q[r];
+      pc[m][r] = v;
+      acc_pp[m] += v * v;
+      acc_py[m] += v * yres[r];
+    }
+  }
+  for (std::size_t m = 0; m < M; ++m) {
+    pp[c[m]] = acc_pp[m];
+    py[c[m]] = acc_py[m];
+  }
 }
 
 }  // namespace
@@ -119,16 +156,27 @@ OlsPath::OlsPath(const linalg::Matrix& x, std::span<const double> y,
   const double y_energy = std::max(linalg::dot(yres, yres), 1e-30);
   std::vector<bool> used(nc, false);
 
+  // pp[c] = p_c.p_c and py[c] = p_c.yres of every live candidate, kept
+  // current by the fused deflation pass below. Each value is one
+  // sequential accumulation in row order — exactly linalg::dot's — so the
+  // selection equals the textbook loop (recompute both dots per step,
+  // then deflate) bit for bit, in two passes over the candidates per pick.
+  std::vector<double> pp(nc), py(nc);
+  for (std::size_t c = 0; c < nc; ++c) {
+    pp[c] = linalg::dot(p[c], p[c]);
+    py[c] = linalg::dot(p[c], yres);
+  }
+  std::vector<std::size_t> live;  // unused candidates, ascending
+  live.reserve(nc);
+
   const int n_select = std::min<int>(opt.max_basis, static_cast<int>(nc));
   for (int step = 0; step < n_select; ++step) {
     double best_err = 0.0;
     std::size_t best_c = nc;
     for (std::size_t c = 0; c < nc; ++c) {
       if (used[c]) continue;
-      const double pp = linalg::dot(p[c], p[c]);
-      if (pp < 1e-20) continue;  // deflated to nothing: collinear with picks
-      const double py = linalg::dot(p[c], yres);
-      const double err = py * py / (pp * y_energy);
+      if (pp[c] < 1e-20) continue;  // deflated to nothing: collinear with picks
+      const double err = py[c] * py[c] / (pp[c] * y_energy);
       if (err > best_err) {
         best_err = err;
         best_c = c;
@@ -138,17 +186,20 @@ OlsPath::OlsPath(const linalg::Matrix& x, std::span<const double> y,
 
     used[best_c] = true;
     order_.push_back(cand[best_c]);
+    if (step + 1 == n_select) break;  // nothing left to pick against
 
-    // Deflate remaining candidates and the target by the chosen column.
-    const double qq = linalg::dot(p[best_c], p[best_c]);
-    const std::vector<double> q = p[best_c];
-    const double qy = linalg::dot(q, yres) / qq;
+    // Deflate the target and the remaining candidates by the chosen
+    // column q (no longer modified: it is used), rescoring as we go.
+    const std::span<const double> q = p[best_c];
+    const double qq = pp[best_c];
+    const double qy = py[best_c] / qq;
     for (std::size_t r = 0; r < n; ++r) yres[r] -= qy * q[r];
-    for (std::size_t c = 0; c < nc; ++c) {
-      if (used[c]) continue;
-      const double qc = linalg::dot(q, p[c]) / qq;
-      for (std::size_t r = 0; r < n; ++r) p[c][r] -= qc * q[r];
-    }
+    live.clear();
+    for (std::size_t c = 0; c < nc; ++c)
+      if (!used[c]) live.push_back(c);
+    std::size_t k = 0;
+    for (; k + 4 <= live.size(); k += 4) deflate_block<4>(&live[k], p, q, qq, yres, pp, py);
+    for (; k < live.size(); ++k) deflate_block<1>(&live[k], p, q, qq, yres, pp, py);
   }
 }
 

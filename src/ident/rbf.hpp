@@ -3,6 +3,7 @@
 // paper's driver submodels i_H / i_L and the receiver clamp submodels.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -17,6 +18,13 @@ namespace emc::ident {
 /// where z is the standardized input (see Scaler).
 class RbfModel {
  public:
+  /// Largest input dimension eval() accepts: it standardizes the input
+  /// into a stack buffer of this size. Callers assembling a regressor on
+  /// the stack may rely on the same bound.
+  static constexpr std::size_t kMaxInputs = 64;
+  /// Stack scratch for one input vector: every input eval() accepts fits.
+  using InputBuf = std::array<double, kMaxInputs>;
+
   RbfModel() = default;
   RbfModel(Scaler scaler, linalg::Matrix centers, std::vector<double> weights, double bias,
            double sigma);
@@ -73,6 +81,8 @@ class OlsPath {
   RbfModel model(std::size_t n_basis) const;
 
   std::size_t selected() const { return order_.size(); }
+  /// Selected training-row indices, in pick order.
+  const std::vector<std::size_t>& order() const { return order_; }
   double sigma() const { return sigma_; }
 
  private:

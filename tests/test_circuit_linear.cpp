@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "circuit/devices_linear.hpp"
 #include "circuit/engine.hpp"
@@ -9,6 +10,18 @@
 #include "signal/sources.hpp"
 
 using namespace emc::ckt;
+
+namespace {
+
+/// Counts right-hand-side stamps; matrix stamps are ignored.
+class RhsCounter final : public Stamper {
+ public:
+  void g(int, int, double) override {}
+  void rhs(int, double) override { ++calls; }
+  int calls = 0;
+};
+
+}  // namespace
 
 TEST(CircuitDc, VoltageDivider) {
   Circuit ckt;
@@ -210,4 +223,62 @@ TEST(Engine, DeviceValidation) {
   EXPECT_THROW(Resistor(1, 0, 0.0), std::invalid_argument);
   EXPECT_THROW(Capacitor(1, 0, -1e-12), std::invalid_argument);
   EXPECT_THROW(Inductor(1, 0, 0.0), std::invalid_argument);
+}
+
+TEST(DeviceContract, MatrixOnlyDevicesNeverStampRhs) {
+  // has_rhs() == false promises zero rhs() calls in every mode: DC and
+  // transient stamps, any solution, history and source scale.
+  Circuit ckt;
+  const int a = ckt.node();
+  const int b = ckt.node();
+  const int c = ckt.node();
+  const int d = ckt.node();
+  const Device& r = ckt.add<Resistor>(a, b, 50.0);
+  const Device& g = ckt.add<Vccs>(a, c, b, d, 0.02);
+  const Device& e = ckt.add<Vcvs>(c, d, a, b, 3.0);
+  const Device& src = ckt.add<VSource>(a, ckt.ground(), 1.0);
+  const Device& cap = ckt.add<Capacitor>(b, ckt.ground(), 1e-12);
+  const Device& ind = ckt.add<Inductor>(c, d, 1e-9);
+  const std::size_t n = static_cast<std::size_t>(ckt.finalize());
+  EXPECT_FALSE(r.has_rhs());
+  EXPECT_FALSE(g.has_rhs());
+  EXPECT_FALSE(e.has_rhs());
+  EXPECT_TRUE(src.has_rhs());
+  EXPECT_TRUE(cap.has_rhs());
+  EXPECT_TRUE(ind.has_rhs());
+
+  std::vector<double> x(n), x_prev(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    x[i] = 0.3 + 0.1 * static_cast<double>(i);
+    x_prev[i] = -0.2 * static_cast<double>(i);
+  }
+  int matrix_only = 0;
+  for (const auto& dev : ckt.devices()) {
+    if (dev->has_rhs()) continue;
+    ++matrix_only;
+    RhsCounter counter;
+    for (const double scale : {0.25, 1.0}) {
+      dev->stamp(counter, SimState{x, x_prev, 0.0, 0.0, true, scale});
+      dev->post_dc(SimState{x, x, 0.0, 0.0, true, 1.0});
+      for (int k = 1; k <= 3; ++k) {
+        const double t = 1e-11 * k;
+        dev->start_step(SimState{x_prev, x_prev, t, 1e-11, false, scale});
+        dev->stamp(counter, SimState{x, x_prev, t, 1e-11, false, scale});
+        dev->commit(SimState{x, x_prev, t, 1e-11, false, scale});
+      }
+    }
+    EXPECT_EQ(counter.calls, 0);
+  }
+  EXPECT_EQ(matrix_only, 3);
+
+  // The port-reduced engine's per-step right-hand-side list leaves out
+  // exactly the matrix-only linear devices.
+  NewtonWorkspace ws;
+  TransientOptions opt;
+  opt.dt = 1e-11;
+  opt.t_stop = 5e-11;
+  run_transient(ckt, opt, ws);
+  EXPECT_EQ(ws.linear_devs.size(), 6u);
+  EXPECT_EQ(ws.rhs_devs.size(), 3u);
+  for (const Device* dev : ws.rhs_devs) EXPECT_TRUE(dev->has_rhs());
 }

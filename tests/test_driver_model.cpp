@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "circuit/devices_linear.hpp"
 #include "circuit/engine.hpp"
@@ -13,6 +15,24 @@
 #include "signal/sources.hpp"
 
 using namespace emc;
+
+namespace {
+
+/// Records every stamp, in call order.
+class RecordingStamper final : public ckt::Stamper {
+ public:
+  struct Entry {
+    bool rhs;
+    int row, col;
+    double val;
+    bool operator==(const Entry&) const = default;
+  };
+  void g(int row, int col, double val) override { log.push_back({false, row, col, val}); }
+  void rhs(int row, double val) override { log.push_back({true, row, -1, val}); }
+  std::vector<Entry> log;
+};
+
+}  // namespace
 
 /// Estimate the MD1-class model once for the whole suite (the estimation
 /// itself is the expensive step).
@@ -212,4 +232,66 @@ TEST_F(DriverModelTest, SimulatorInputValidation) {
   EXPECT_THROW(core::simulate_driver_on_thevenin(*model_, "01", 1e-9,
                                                  [](double) { return 0.0; }, -1.0, 1e-9),
                std::invalid_argument);
+}
+
+TEST_F(DriverModelTest, DeviceStampIsWeightedSubmodelSum) {
+  // Low, a rising edge, High, a falling edge, Low: the stamp must be
+  // wh*ih + wl*il of the two free-running submodels in every state —
+  // settled (one weight zero, one submodel evaluated) and mid-transition.
+  const double ts = model_->ts;
+  const double bit_time = 160 * ts;
+  const std::string bits = "0100";
+  const int pad = 1;
+  core::DriverDevice dev(pad, *model_, bits, bit_time);
+  dev.reset();
+
+  double v = 0.05;
+  std::vector<double> x{v}, x_prev{v};
+  dev.post_dc(ckt::SimState{x, x, 0.0, 0.0, true, 1.0});
+  core::SubmodelState run_h(*model_, true, v);
+  core::SubmodelState run_l(*model_, false, v);
+
+  // The device's weight schedule, followed step by step.
+  bool state = false, rising = false, in_transition = false;
+  std::size_t since = 0;
+  int settled = 0, mixed = 0;
+  for (int k = 1; k <= 4 * 160; ++k) {
+    const double t = ts * k;
+    auto idx = static_cast<std::size_t>(t / bit_time);
+    const bool b = bits[std::min(idx, bits.size() - 1)] == '1';
+    if (b != state) {
+      state = rising = b;
+      in_transition = true;
+      since = 0;
+    } else if (in_transition) {
+      ++since;
+    }
+    const auto [wh, wl] = in_transition ? model_->weights_at(rising, since)
+                                        : core::PwRbfDriverModel::steady_weights(state);
+    if (in_transition && since >= (rising ? model_->up : model_->down).size())
+      in_transition = false;
+    (wh == 0.0 || wl == 0.0 ? settled : mixed) += 1;
+
+    dev.start_step(ckt::SimState{x_prev, x_prev, t, ts, false, 1.0});
+    v = 1.6 + 1.5 * std::sin(0.07 * k);  // candidate pad voltage
+    x[0] = v;
+    const ckt::SimState st{x, x_prev, t, ts, false, 1.0};
+    RecordingStamper got;
+    dev.stamp(got, st);
+
+    double dh = 0.0, dl = 0.0;
+    const double ih = run_h.peek(v, &dh);
+    const double il = run_l.peek(v, &dl);
+    RecordingStamper want;
+    want.nonlinear_current(pad, 0, wh * ih + wl * il, wh * dh + wl * dl, v);
+    want.conductance(pad, 0, 1e-9);
+    ASSERT_EQ(got.log, want.log) << "step " << k << " weights (" << wh << ", " << wl << ")";
+
+    dev.commit(st);
+    run_h.step(v);
+    run_l.step(v);
+    x_prev[0] = v;
+  }
+  EXPECT_GT(settled, 100);
+  EXPECT_GT(mixed, 10);
 }

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "ident/rbf.hpp"
+#include "linalg/matrix.hpp"
 #include "signal/sources.hpp"
 
 using namespace emc::ident;
@@ -17,6 +20,87 @@ la::Matrix column(const std::vector<double>& v) {
   la::Matrix m(v.size(), 1);
   for (std::size_t r = 0; r < v.size(); ++r) m(r, 0) = v[r];
   return m;
+}
+
+/// Textbook OLS selection, kept as the oracle of OlsPath's fused loop:
+/// every step recomputes p.p and p.y of each live candidate with
+/// linalg::dot, picks the best error reduction, then deflates the target
+/// and each remaining candidate by the pick in separate passes. Returns
+/// the picked training rows in order.
+std::vector<std::size_t> naive_ols_order(const la::Matrix& x, std::span<const double> y,
+                                         const RbfFitOptions& opt) {
+  const std::size_t n = x.rows();
+  const Scaler scaler = Scaler::fit(x);
+  const la::Matrix z = scaler.transform(x);
+  const double inv2s2 = 1.0 / (2.0 * opt.sigma * opt.sigma);
+  const auto kernel = [&](std::size_t r, std::size_t c) {
+    double dist2 = 0.0;
+    for (std::size_t k = 0; k < z.cols(); ++k) {
+      const double d = z(r, k) - z(c, k);
+      dist2 += d * d;
+    }
+    return std::exp(-dist2 * inv2s2);
+  };
+
+  std::vector<std::size_t> cand;
+  if (n <= static_cast<std::size_t>(opt.max_candidates)) {
+    cand.resize(n);
+    std::iota(cand.begin(), cand.end(), 0);
+  } else {
+    emc::sig::Lcg rng(opt.seed);
+    const double stride = static_cast<double>(n) / opt.max_candidates;
+    for (int j = 0; j < opt.max_candidates; ++j) {
+      const double base = stride * static_cast<double>(j);
+      const auto idx = static_cast<std::size_t>(base + rng.uniform() * stride);
+      cand.push_back(std::min(idx, n - 1));
+    }
+  }
+  const std::size_t nc = cand.size();
+  std::vector<std::vector<double>> p(nc, std::vector<double>(n));
+  for (std::size_t c = 0; c < nc; ++c)
+    for (std::size_t r = 0; r < n; ++r) p[c][r] = kernel(r, cand[c]);
+
+  std::vector<double> yres(y.begin(), y.end());
+  const double ymean = std::accumulate(yres.begin(), yres.end(), 0.0) / static_cast<double>(n);
+  for (auto& v : yres) v -= ymean;
+  for (auto& col : p) {
+    const double m = std::accumulate(col.begin(), col.end(), 0.0) / static_cast<double>(n);
+    for (auto& v : col) v -= m;
+  }
+
+  const double y_energy = std::max(la::dot(yres, yres), 1e-30);
+  std::vector<bool> used(nc, false);
+  std::vector<std::size_t> order;
+  const int n_select = std::min<int>(opt.max_basis, static_cast<int>(nc));
+  for (int step = 0; step < n_select; ++step) {
+    double best_err = 0.0;
+    std::size_t best_c = nc;
+    for (std::size_t c = 0; c < nc; ++c) {
+      if (used[c]) continue;
+      const double pp = la::dot(p[c], p[c]);
+      if (pp < 1e-20) continue;
+      const double py = la::dot(p[c], yres);
+      const double err = py * py / (pp * y_energy);
+      if (err > best_err) {
+        best_err = err;
+        best_c = c;
+      }
+    }
+    if (best_c == nc || best_err < opt.min_err_reduction) break;
+    used[best_c] = true;
+    order.push_back(cand[best_c]);
+
+    const double qq = la::dot(p[best_c], p[best_c]);
+    const std::vector<double> q = p[best_c];
+    const double qy = la::dot(q, yres) / qq;
+    for (std::size_t r = 0; r < n; ++r) yres[r] -= qy * q[r];
+    for (std::size_t c = 0; c < nc; ++c) {
+      if (used[c]) continue;
+      const double qc = la::dot(q, p[c]) / qq;
+      for (std::size_t r = 0; r < n; ++r) p[c][r] -= qc * q[r];
+    }
+  }
+  return order;
 }
 
 }  // namespace
@@ -204,4 +288,51 @@ TEST(RbfModel, ConstructorValidation) {
                std::invalid_argument);
   EXPECT_THROW(RbfModel(Scaler({0.0}, {1.0}), la::Matrix(1, 1), {1.0}, 0.0, -1.0),
                std::invalid_argument);
+}
+
+TEST(OlsPath, SelectionEqualsNaiveOracleOnRandomData) {
+  // 3-D random inputs, subsampled candidates (n > max_candidates) and a
+  // candidate count that is not a multiple of the deflation block.
+  emc::sig::Lcg rng(11);
+  const std::size_t n = 700;
+  la::Matrix x(n, 3);
+  std::vector<double> y(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < 3; ++c) x(r, c) = 4.0 * rng.uniform() - 2.0;
+    y[r] = std::sin(x(r, 0)) * x(r, 1) + 0.3 * x(r, 2) * x(r, 2) + 0.05 * rng.uniform();
+  }
+  RbfFitOptions opt;
+  opt.max_basis = 15;
+  opt.sigma = 1.2;
+  opt.max_candidates = 203;
+  opt.seed = 5;
+  const OlsPath path(x, y, opt);
+  const auto oracle = naive_ols_order(x, y, opt);
+  ASSERT_EQ(oracle.size(), 15u);
+  EXPECT_EQ(path.order(), oracle);
+}
+
+TEST(OlsPath, SelectionEqualsNaiveOracleOnNarxData) {
+  // Every row is a candidate; the stop threshold ends the selection early.
+  emc::sig::Lcg rng(3);
+  std::vector<double> v(600), i(600, 0.0);
+  double level = 0.0;
+  for (std::size_t k = 0; k < v.size(); ++k) {
+    if (k % 25 == 0) level = 4.0 * rng.uniform() - 2.0;
+    v[k] = level;
+    if (k > 0) i[k] = 0.8 * i[k - 1] + std::tanh(v[k]);
+  }
+  const NarxOrders ord{2, 2};
+  const auto ds = build_narx_dataset(emc::sig::Waveform(0.0, 1.0, v),
+                                     emc::sig::Waveform(0.0, 1.0, i), ord);
+  for (const double sigma : {0.7, 1.5}) {
+    RbfFitOptions opt;
+    opt.max_basis = 40;
+    opt.sigma = sigma;
+    opt.min_err_reduction = 1e-6;
+    const OlsPath path(ds.x, ds.y, opt);
+    const auto oracle = naive_ols_order(ds.x, ds.y, opt);
+    EXPECT_GT(oracle.size(), 4u);
+    EXPECT_EQ(path.order(), oracle) << "sigma " << sigma;
+  }
 }
