@@ -242,14 +242,14 @@ int main(int argc, char** argv) {
   const std::size_t chunk = sweep::emission_chunk_hint(grid);
   sweep::SweepRunner serial(1);
   const auto t_fix = std::chrono::steady_clock::now();
-  const auto fixed = serial.run(grid, sweep::make_emission_corner_fn(cfg), {}, chunk);
+  const auto fixed = serial.run(grid, sweep::make_emission_corner_fn(cfg), {.chunk = chunk});
   doc.at("scenarios").push(bench::scenario_row("fixed_plan_sweep",
                                                seconds_since(t_fix)));
   cfg.scan_plan = spec::ScanPlan::kAdaptive;
   cfg.adaptive.coarse_points = 16;
   cfg.adaptive.freq_tol_rel = 1e-3;
   const auto t_cal = std::chrono::steady_clock::now();
-  const auto cal = serial.run(grid, sweep::make_emission_corner_fn(cfg), {}, chunk);
+  const auto cal = serial.run(grid, sweep::make_emission_corner_fn(cfg), {.chunk = chunk});
   doc.at("scenarios").push(bench::scenario_row("calibration_adaptive_sweep",
                                                seconds_since(t_cal)));
   const auto& len_worst =
@@ -262,13 +262,13 @@ int main(int argc, char** argv) {
 
   // Adaptive sweep, 1 thread vs --jobs threads: bit-identical summaries.
   const auto t1 = std::chrono::steady_clock::now();
-  const auto out1 = serial.run(grid, corner_fn, {}, chunk);
+  const auto out1 = serial.run(grid, corner_fn, {.chunk = chunk});
   const double wall_1 = seconds_since(t1);
   doc.at("scenarios").push(bench::scenario_row("adaptive_sweep_1_thread", wall_1));
 
   sweep::SweepRunner parallel(jobs);
   const auto tn = std::chrono::steady_clock::now();
-  const auto outn = parallel.run(grid, corner_fn, {}, chunk);
+  const auto outn = parallel.run(grid, corner_fn, {.chunk = chunk});
   doc.at("scenarios").push(bench::scenario_row(
       "adaptive_sweep_" + std::to_string(jobs) + "_threads", seconds_since(tn)));
   const bool sweep_identical = out1.summary == outn.summary;
@@ -290,7 +290,7 @@ int main(int argc, char** argv) {
   const sweep::CornerGrid refined(sweep::apply_refinement(grid.axes(), ref1.plan));
   const auto t_scr = std::chrono::steady_clock::now();
   const auto scratch =
-      parallel.run(refined, corner_fn, {}, sweep::emission_chunk_hint(refined));
+      parallel.run(refined, corner_fn, {.chunk = sweep::emission_chunk_hint(refined)});
   doc.at("scenarios").push(bench::scenario_row("refined_grid_from_scratch",
                                                seconds_since(t_scr)));
   const bool refine_matches_scratch = ref1.outcome.summary == scratch.summary;

@@ -344,7 +344,7 @@ int main(int argc, char** argv) {
     {
       obs::Span root("bench_obs");
       sweep::SweepRunner runner(2);
-      sweep_out = runner.run(grid, rc_corner, {}, /*chunk=*/1);
+      sweep_out = runner.run(grid, rc_corner);
     }
     tracer.uninstall();
     sweep_metrics = obs::registry().snapshot();

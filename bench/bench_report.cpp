@@ -232,7 +232,7 @@ int main(int argc, char** argv) {
     range.end = (s + 1 == n_shards) ? grid.size() : (s + 1) * per_shard;
     obs::registry().reset();
     sweep::SweepRunner shard_runner(2);
-    const auto shard_out = shard_runner.run(grid, rc_scan_corner, {}, 1, {}, range);
+    const auto shard_out = shard_runner.run(grid, rc_scan_corner, {.shard = range});
     shard_reports.push_back(
         make_report(grid, shard_out, obs::registry().snapshot()));
   }

@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
   const auto counters_before = obs::registry().snapshot();
   sweep::SweepRunner serial(1);
   const auto t1 = std::chrono::steady_clock::now();
-  const auto out1 = serial.run(grid, corner_fn, {}, chunk);
+  const auto out1 = serial.run(grid, corner_fn, {.chunk = chunk});
   const double wall_1 = seconds_since(t1);
   doc.at("scenarios").push(bench::scenario_row("sweep_1_thread", wall_1));
   const auto counters_after = obs::registry().snapshot();
@@ -130,7 +130,7 @@ int main(int argc, char** argv) {
 
   sweep::SweepRunner parallel(jobs);
   const auto tn = std::chrono::steady_clock::now();
-  const auto outn = parallel.run(grid, corner_fn, {}, chunk);
+  const auto outn = parallel.run(grid, corner_fn, {.chunk = chunk});
   const double wall_n = seconds_since(tn);
   doc.at("scenarios").push(
       bench::scenario_row("sweep_" + std::to_string(jobs) + "_threads", wall_n));
@@ -145,16 +145,10 @@ int main(int argc, char** argv) {
   std::printf("verdict: %zu pass / %zu fail, worst margin %+.1f dB at corner %zu (%s)\n",
               outn.summary.passed, outn.summary.failed, outn.summary.worst_margin_db,
               outn.summary.worst_corner, outn.summary.worst_label.c_str());
-  // The streamed corner pipeline: what a worker actually held per corner
-  // (chunk staging + steady-state record) vs. the monolithic full record
-  // the legacy path would have materialized.
-  std::printf("record memory/corner: streamed %.1f KiB vs monolithic %.1f KiB (%.1fx)\n",
-              static_cast<double>(outn.summary.peak_streamed_record_bytes) / 1024.0,
-              static_cast<double>(outn.summary.peak_monolithic_record_bytes) / 1024.0,
-              outn.summary.peak_streamed_record_bytes > 0
-                  ? static_cast<double>(outn.summary.peak_monolithic_record_bytes) /
-                        static_cast<double>(outn.summary.peak_streamed_record_bytes)
-                  : 0.0);
+  // The streamed corner pipeline: what a worker held per corner (chunk
+  // staging + steady-state record).
+  std::printf("record memory/corner: streamed %.1f KiB\n",
+              static_cast<double>(outn.summary.peak_streamed_record_bytes) / 1024.0);
 
   // Worst corner per swept axis value — the table an EMC engineer reads
   // to find which knob drives the failures.

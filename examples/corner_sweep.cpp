@@ -7,8 +7,10 @@
 // The whole sweep runs under the emc::obs instrumentation layer: a Tracer
 // records sweep/corner/transient/newton_step spans into
 // corner_sweep.trace.json (open it in Perfetto or chrome://tracing), and a
-// structured RunReport with the solver statistics, worker utilization and
-// metric counters lands in corner_sweep.report.json.
+// structured RunReport with the solver statistics, worker utilization,
+// metric counters and the span profile lands in corner_sweep.report.json
+// (`emc_report flame corner_sweep.report.json` folds its profile into
+// flamegraph stacks).
 //
 //   example_corner_sweep [--jobs N] [--out-dir DIR]
 //   (jobs default: hardware concurrency; out-dir default: cwd)
@@ -21,6 +23,7 @@
 #include "core/driver_estimator.hpp"
 #include "devices/reference_driver.hpp"
 #include "obs/metrics.hpp"
+#include "obs/profile.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "sweep/sweep_runner.hpp"
@@ -96,11 +99,11 @@ int main(int argc, char** argv) {
   tracer.install();
 
   sweep::SweepRunner runner(jobs);
-  const auto out = runner.run(
-      grid, sweep::make_emission_corner_fn(cfg), {}, sweep::emission_chunk_hint(grid),
-      [](std::size_t done, std::size_t total) {
-        std::printf("  corner %zu/%zu done\n", done, total);
-      });
+  const auto out = runner.run(grid, sweep::make_emission_corner_fn(cfg),
+                              {.chunk = sweep::emission_chunk_hint(grid),
+                               .progress = [](std::size_t done, std::size_t total) {
+                                 std::printf("  corner %zu/%zu done\n", done, total);
+                               }});
 
   tracer.uninstall();
 
@@ -171,6 +174,7 @@ int main(int argc, char** argv) {
   report.set("workers", "pool", sweep::worker_stats_json(out.workers));
   report.add_metrics(obs::registry().snapshot());
   report.add_trace_summary(tracer, trace_written ? trace_path : "");
+  report.add_profile(obs::Profile::build(tracer));
   const bool report_written = report.write(report_path);
   if (report_written)
     std::printf("wrote %s\n", report_path.c_str());

@@ -249,9 +249,10 @@ class TransientResult {
 void dc_operating_point(Circuit& ckt, std::vector<double>& x, const TransientOptions& opt);
 
 /// Run a transient analysis; the result holds every unknown at every step
-/// (the first record is the state at t_start). Implemented as a recording
-/// sink over run_transient_streamed, so the two paths can never drift:
-/// the record is bit-identical to what any other sink observes.
+/// (the first record is the state at t_start). Implemented as a
+/// sig::RecordingSink over run_transient_streamed probing every unknown,
+/// so the two entry points can never drift: the record is bit-identical
+/// to a streamed run's frames.
 TransientResult run_transient(Circuit& ckt, const TransientOptions& opt);
 
 /// Same analysis with caller-owned Newton scratch. The workspace is
@@ -265,9 +266,10 @@ TransientResult run_transient(Circuit& ckt, const TransientOptions& opt,
 /// Streaming transient analysis: instead of materializing the record, emit
 /// chunks of `chunk_frames` frames holding only the probed unknowns
 /// (flat, frame-major, in `probes` order) through `sink`. Peak memory is
-/// O(chunk_frames * probes.size()) on top of the solver scratch, for
-/// any record length — the entry point for PRBS patterns far beyond what a
-/// full record can hold.
+/// O(chunk_frames * probes.size()) on top of the solver scratch plus what
+/// the sink keeps. The corner sweep probes the measured land into a
+/// sig::RecordingSink windowed on the steady-state periods and scans that
+/// record in one piece; sig::NullSink keeps nothing.
 ///
 /// `probes` are unknown ids (0 = ground streams constant 0.0); frame 0 is
 /// the state at t_start, followed by one frame per step. The sink sees

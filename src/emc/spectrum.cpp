@@ -99,42 +99,4 @@ Spectrum amplitude_spectrum_dbuv(const sig::Waveform& w, Window win) {
   return s;
 }
 
-Spectrum welch_psd(const sig::Waveform& w, std::size_t segment_len, Window win,
-                   double overlap) {
-  const std::size_t n = w.size();
-  if (segment_len < 2) throw std::invalid_argument("welch_psd: segment_len must be >= 2");
-  if (segment_len > n) throw std::invalid_argument("welch_psd: segment longer than record");
-  if (!(overlap >= 0.0 && overlap < 1.0))
-    throw std::invalid_argument("welch_psd: overlap must be in [0, 1)");
-
-  const auto hop = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::lround(static_cast<double>(segment_len) * (1.0 - overlap))));
-  const WindowData wd = make_window(win, segment_len);
-  const double fs = 1.0 / w.dt();
-
-  FftPlan plan(segment_len);
-  std::vector<double> x(segment_len);
-  std::vector<std::complex<double>> bins;
-
-  Spectrum out;
-  out.df = fs / static_cast<double>(segment_len);
-  out.value.assign(segment_len / 2 + 1, 0.0);
-
-  std::size_t n_segments = 0;
-  for (std::size_t start = 0; start + segment_len <= n; start += hop) {
-    for (std::size_t k = 0; k < segment_len; ++k) x[k] = w[start + k] * wd.w[k];
-    plan.forward_real(x, bins);
-    const double scale =
-        1.0 / (fs * static_cast<double>(segment_len) * wd.noise_gain);
-    for (std::size_t k = 0; k < bins.size(); ++k) {
-      const bool paired = k != 0 && !(segment_len % 2 == 0 && k == segment_len / 2);
-      out.value[k] += std::norm(bins[k]) * scale * (paired ? 2.0 : 1.0);
-    }
-    ++n_segments;
-  }
-  const double inv = 1.0 / static_cast<double>(n_segments);
-  for (double& v : out.value) v *= inv;
-  return out;
-}
-
 }  // namespace emc::spec

@@ -1,6 +1,5 @@
-// Spectral analysis of sig::Waveform records: windowing, single-shot
-// amplitude spectra (the EMC engineer's dBuV-vs-frequency view) and
-// Welch-averaged power spectral density.
+// Spectral analysis of sig::Waveform records: windowing and single-shot
+// amplitude spectra (the EMC engineer's dBuV-vs-frequency view).
 #pragma once
 
 #include <cstddef>
@@ -32,8 +31,7 @@ WindowData make_window(Window kind, std::size_t n);
 /// A one-sided spectrum on the uniform frequency grid k * df, k = 0..n/2
 /// (interior bins already carry their conjugate pair's contribution).
 /// `value` units depend on the producer: volts (peak) for
-/// amplitude_spectrum, dBuV for amplitude_spectrum_dbuv, V^2/Hz for
-/// welch_psd.
+/// amplitude_spectrum, dBuV for amplitude_spectrum_dbuv.
 struct Spectrum {
   double df = 0.0;
   std::vector<double> value;
@@ -56,12 +54,5 @@ Spectrum amplitude_spectrum(const sig::Waveform& w, Window win = Window::kHann);
 /// Amplitude spectrum converted to dBuV of the equivalent sine RMS
 /// (value / sqrt(2), except the DC bin which is already an RMS level).
 Spectrum amplitude_spectrum_dbuv(const sig::Waveform& w, Window win = Window::kHann);
-
-/// Welch-averaged one-sided PSD in V^2/Hz: segments of `segment_len`
-/// samples with `overlap` fractional overlap (default 50%), windowed,
-/// periodograms noise-gain corrected and averaged. sum(value)*df
-/// approximates the mean-square value of the record.
-Spectrum welch_psd(const sig::Waveform& w, std::size_t segment_len,
-                   Window win = Window::kHann, double overlap = 0.5);
 
 }  // namespace emc::spec

@@ -160,8 +160,7 @@ Json merge_sweep_summary(const std::vector<const Json*>& vals) {
       if (const Json* v = vals[winner]->find(key)) return *v;
       return *fv[0];
     }
-    if (key == "peak_streamed_record_bytes" || key == "peak_monolithic_record_bytes")
-      return max_integers(fv, key.c_str());
+    if (key == "peak_streamed_record_bytes") return max_integers(fv, key.c_str());
     if (key == "per_axis_worst")
       return *fv[0];  // placeholder; merge_sweep substitutes the real merge
     if (key == "margin_histogram_db") {

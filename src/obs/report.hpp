@@ -1,6 +1,6 @@
 // Structured run report: one JSON document unifying what a run did —
 // solver configuration and factorization statistics, Newton iteration
-// counts, sweep worker telemetry, receiver scan decisions, streaming
+// counts, sweep worker telemetry, receiver scan decisions, record
 // memory peaks — so a run leaves a machine-readable record instead of a
 // scatter of stdout lines.
 //

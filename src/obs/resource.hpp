@@ -16,9 +16,7 @@
 // gets a meaningful peak.
 //
 // The sampler feeds the RunReport "resources" section: peak RSS, CPU
-// split, and a decimated RSS series — and gives the streaming benches an
-// external cross-check that "bytes held" accounting is not fiction: peak
-// RSS can never be below what the sinks claim to be holding.
+// split, and a decimated RSS series.
 #pragma once
 
 #include <condition_variable>

@@ -1,7 +1,7 @@
 #include "signal/csv.hpp"
 
-#include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <stdexcept>
 
 namespace emc::sig {
@@ -68,69 +68,6 @@ void write_spectrum_csv(const std::string& path, const std::vector<std::string>&
     os << '\n';
   }
   check_stream(os, "write_spectrum_csv", path);
-}
-
-// ------------------------------------------------------------ CsvStreamSink
-
-namespace {
-constexpr std::size_t kFlushBytes = 64 * 1024;
-}
-
-CsvStreamSink::CsvStreamSink(std::string path, std::vector<std::string> names)
-    : path_(std::move(path)), names_(std::move(names)) {
-  if (names_.empty()) throw std::invalid_argument("CsvStreamSink: no columns");
-}
-
-void CsvStreamSink::begin(const StreamInfo& info) {
-  SampleSink::begin(info);
-  if (names_.size() != info.channels)
-    throw std::invalid_argument("CsvStreamSink: names/channels size mismatch");
-
-  const std::filesystem::path p(path_);
-  if (p.has_parent_path()) std::filesystem::create_directories(p.parent_path());
-
-  os_.open(path_, std::ios::trunc);
-  if (!os_) throw std::runtime_error("CsvStreamSink: cannot open " + path_);
-
-  rows_ = 0;
-  buf_.clear();
-  buf_.reserve(kFlushBytes + 4096);
-  buf_ += "time";
-  for (const auto& n : names_) {
-    buf_.push_back(',');
-    buf_ += n;
-  }
-  buf_.push_back('\n');
-}
-
-void CsvStreamSink::flush() {
-  if (buf_.empty()) return;
-  os_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
-  check_stream(os_, "CsvStreamSink", path_);
-  buf_.clear();
-}
-
-void CsvStreamSink::consume(const SampleChunk& chunk) {
-  char num[32];
-  for (std::size_t f = 0; f < chunk.frames; ++f) {
-    const double t =
-        info().t0 + info().dt * static_cast<double>(chunk.first_frame + f);
-    std::snprintf(num, sizeof num, "%.9g", t);
-    buf_ += num;
-    for (std::size_t c = 0; c < chunk.channels; ++c) {
-      std::snprintf(num, sizeof num, ",%.9g", chunk.value(f, c));
-      buf_ += num;
-    }
-    buf_.push_back('\n');
-    ++rows_;
-    if (buf_.size() >= kFlushBytes) flush();
-  }
-}
-
-void CsvStreamSink::finish() {
-  flush();
-  os_.close();
-  if (os_.fail()) throw std::runtime_error("CsvStreamSink: close failed for " + path_);
 }
 
 }  // namespace emc::sig

@@ -1,11 +1,9 @@
 // Minimal CSV writer for benchmark/experiment series output.
 #pragma once
 
-#include <fstream>
 #include <string>
 #include <vector>
 
-#include "signal/sample_sink.hpp"
 #include "signal/waveform.hpp"
 
 namespace emc::sig {
@@ -27,33 +25,5 @@ void write_csv(const std::string& path, const std::vector<std::string>& names,
 void write_spectrum_csv(const std::string& path, const std::vector<std::string>& names,
                         const std::vector<double>& freq,
                         const std::vector<std::vector<double>>& columns);
-
-/// Buffered streaming CSV export: a SampleSink writing one
-/// time,<name0>,<name1>,... row per frame as chunks arrive, so arbitrarily
-/// long streamed records land on disk through O(buffer) memory. Rows are
-/// formatted into an in-memory buffer flushed at ~64 KiB; stream state is
-/// checked on every flush and a failed write throws std::runtime_error
-/// (the producer then abandons the stream — no silently truncated files).
-/// The file is opened in begin() and is complete only after finish().
-class CsvStreamSink final : public SampleSink {
- public:
-  /// `names` must match the stream's channel count at begin().
-  CsvStreamSink(std::string path, std::vector<std::string> names);
-
-  void begin(const StreamInfo& info) override;
-  void consume(const SampleChunk& chunk) override;
-  void finish() override;
-
-  std::size_t rows_written() const { return rows_; }
-
- private:
-  void flush();
-
-  std::string path_;
-  std::vector<std::string> names_;
-  std::ofstream os_;
-  std::string buf_;
-  std::size_t rows_ = 0;
-};
 
 }  // namespace emc::sig

@@ -1,9 +1,10 @@
 // Streaming sample sinks: the consumer side of the chunked transient
-// pipeline. A producer (ckt::run_transient_streamed, a file reader, a
-// test) pushes fixed-size chunks of frame-major samples through a
-// SampleSink instead of materializing the whole record, so downstream
-// consumers (Welch accumulation, segmented EMI detection, CSV export)
-// see O(chunk) memory regardless of record length.
+// pipeline. A producer (ckt::run_transient_streamed, a test) pushes
+// fixed-size chunks of frame-major samples of only the probed unknowns
+// through a SampleSink instead of materializing the all-unknowns record.
+// RecordingSink keeps a window of them (the corner sweep keeps the
+// steady-state periods and scans that record in one piece); NullSink
+// keeps nothing.
 //
 // Protocol: begin(info) once, consume(chunk) zero or more times with
 // strictly increasing, gap-free frame ranges, finish() once after the
@@ -13,7 +14,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -108,47 +108,6 @@ class RecordingSink final : public SampleSink {
   std::size_t first_;
   std::size_t max_;
   std::vector<double> data_;
-};
-
-/// Forwards every `factor`-th frame (global frame index % factor == 0) to
-/// an inner sink, rescaling dt. Plain decimation — callers band-limiting
-/// the signal first get an anti-aliased stream, callers probing slow nodes
-/// get cheap storage reduction.
-class DecimatingSink final : public SampleSink {
- public:
-  DecimatingSink(std::size_t factor, SampleSink& inner);
-
-  void begin(const StreamInfo& info) override;
-  void consume(const SampleChunk& chunk) override;
-  void finish() override;
-
- private:
-  void flush();
-
-  std::size_t factor_;
-  SampleSink& inner_;
-  std::size_t out_first_ = 0;       ///< global (decimated) index of buf_[0]
-  std::vector<double> buf_;         ///< frame-major staging for the inner sink
-  std::size_t buf_frames_ = 0;
-  std::size_t buf_capacity_ = 256;  ///< frames per forwarded chunk
-};
-
-/// Extracts one channel of the stream and hands its samples (contiguous,
-/// chunk by chunk) to a consumer callback — the adapter that plugs
-/// single-signal accumulators (Welch PSD, segmented EMI detection) into a
-/// multi-channel stream.
-class ChannelTapSink final : public SampleSink {
- public:
-  using Consumer = std::function<void(std::span<const double>)>;
-  ChannelTapSink(std::size_t channel, Consumer consumer);
-
-  void begin(const StreamInfo& info) override;
-  void consume(const SampleChunk& chunk) override;
-
- private:
-  std::size_t channel_;
-  Consumer consumer_;
-  std::vector<double> buf_;
 };
 
 }  // namespace emc::sig

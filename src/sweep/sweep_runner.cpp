@@ -199,8 +199,6 @@ SweepSummary summarize_shard(const CornerGrid& grid, std::span<const CornerResul
     // Memory footprints count for every corner that ran, covered or not.
     s.peak_streamed_record_bytes =
         std::max(s.peak_streamed_record_bytes, r.streamed_record_bytes);
-    s.peak_monolithic_record_bytes =
-        std::max(s.peak_monolithic_record_bytes, r.monolithic_record_bytes);
     if (rep.points.empty()) {
       ++s.uncovered;
       continue;
@@ -233,7 +231,7 @@ namespace {
 /// scratch `ws`: the corner function, failure isolation, and the
 /// memo-derived accounting.
 void evaluate_corner(const CornerFn& fn, Workspace& ws, CornerResult& slot,
-                     std::size_t grid_index, std::size_t worker, bool isolate_failures) {
+                     std::size_t grid_index, std::size_t worker) {
   static const obs::Counter c_isolated("sweep.corners_isolated");
   obs::Span corner_span("corner");
   const auto t0 = std::chrono::steady_clock::now();
@@ -243,25 +241,21 @@ void evaluate_corner(const CornerFn& fn, Workspace& ws, CornerResult& slot,
   // key — a recovered transient marks every corner that reuses it as
   // recovered).
   bool corner_ok = true;
-  if (isolate_failures) {
-    try {
-      slot.report = fn(slot.scenario, ws);
-    } catch (const robust::SolveError& e) {
-      // Isolate: record the failure with the corner identity attached and
-      // keep sweeping. The workspace memo still describes the last corner
-      // that SUCCEEDED, so none of the memo-derived accounting below may
-      // be copied.
-      corner_ok = false;
-      const robust::SolveError wrapped =
-          robust::with_corner(e, slot.scenario.label(), grid_index);
-      slot.solver_failed = true;
-      slot.failure = wrapped.what();
-      slot.failure_kind = robust::failure_kind_name(wrapped.info().kind);
-      slot.solve_attempts = std::max(1, wrapped.info().attempts);
-      c_isolated.add();
-    }
-  } else {
+  try {
     slot.report = fn(slot.scenario, ws);
+  } catch (const robust::SolveError& e) {
+    // Isolate: record the failure with the corner identity attached and
+    // keep sweeping. The workspace memo still describes the last corner
+    // that SUCCEEDED, so none of the memo-derived accounting below may
+    // be copied.
+    corner_ok = false;
+    const robust::SolveError wrapped =
+        robust::with_corner(e, slot.scenario.label(), grid_index);
+    slot.solver_failed = true;
+    slot.failure = wrapped.what();
+    slot.failure_kind = robust::failure_kind_name(wrapped.info().kind);
+    slot.solve_attempts = std::max(1, wrapped.info().attempts);
+    c_isolated.add();
   }
   if (corner_ok) {
     // Memory and solver accounting ride the workspace (the corner function
@@ -269,7 +263,6 @@ void evaluate_corner(const CornerFn& fn, Workspace& ws, CornerResult& slot,
     // key, so memo hits report the same values as the corner that ran the
     // transient and the summary stays scheduling-independent.
     slot.streamed_record_bytes = ws.memo_streamed_bytes;
-    slot.monolithic_record_bytes = ws.memo_monolithic_bytes;
     slot.solve = ws.memo_solve;
     slot.transient_reused = ws.memo_hit;
     slot.solve_attempts = std::max(1, ws.memo_attempts);
@@ -294,17 +287,6 @@ void SweepRunner::forget_memos() {
 
 SweepRunner::SweepRunner(std::size_t jobs)
     : pool_(jobs), workspaces_(pool_.workers()) {}
-
-SweepOutcome SweepRunner::run(const CornerGrid& grid, const CornerFn& fn,
-                              const MarginHistogram& histogram_spec, std::size_t chunk,
-                              const ProgressFn& progress, ShardRange shard) {
-  RunOptions opt;
-  opt.histogram = histogram_spec;
-  opt.chunk = chunk;
-  opt.progress = progress;
-  opt.shard = shard;
-  return run(grid, fn, opt);
-}
 
 SweepOutcome SweepRunner::run(const CornerGrid& grid, const CornerFn& fn,
                               const RunOptions& opt) {
@@ -364,8 +346,7 @@ SweepOutcome SweepRunner::run(const CornerGrid& grid, const CornerFn& fn,
         }
         CornerResult& slot = out.results[index];
         slot.scenario = grid.at(shard.begin + index);
-        evaluate_corner(fn, workspaces_[worker], slot, shard.begin + index, worker,
-                        opt.isolate_failures);
+        evaluate_corner(fn, workspaces_[worker], slot, shard.begin + index, worker);
         if (journal) journal->append(corner_journal_json(shard.begin + index, slot));
         const std::size_t k = done.fetch_add(1, std::memory_order_relaxed) + 1;
         if (opt.progress) opt.progress(k, n);
@@ -429,8 +410,6 @@ obs::Json corner_journal_json(std::size_t grid_index, const CornerResult& r) {
   o.set("scan_crossings", obs::Json::integer(static_cast<long>(r.scan.crossings)));
   o.set("streamed_bytes",
         obs::Json::integer(static_cast<long>(r.streamed_record_bytes)));
-  o.set("monolithic_bytes",
-        obs::Json::integer(static_cast<long>(r.monolithic_record_bytes)));
   o.set("solve", solve_stats_exact_json(r.solve));
 
   auto rep = obs::Json::object();
@@ -480,8 +459,6 @@ CornerResult corner_from_journal(const obs::Json& entry, std::size_t& grid_index
     r.scan.crossings = static_cast<std::size_t>(v->as_integer());
   r.streamed_record_bytes =
       static_cast<std::size_t>(entry.at("streamed_bytes").as_integer());
-  r.monolithic_record_bytes =
-      static_cast<std::size_t>(entry.at("monolithic_bytes").as_integer());
   r.solve = solve_stats_from_json(entry.at("solve"));
 
   const obs::Json& rep = entry.at("report");
@@ -580,12 +557,7 @@ CornerFn make_emission_corner_fn(const EmissionSweepConfig& cfg) {
             ws.memo_record =
                 sig::Waveform(opt.t_start + opt.dt * static_cast<double>(per_period), opt.dt,
                               std::move(rec).take_data());
-
-            const auto n_unknowns = static_cast<std::size_t>(cc->c.finalize());
-            const auto n_frames =
-                static_cast<std::size_t>(std::llround(opt.t_stop / opt.dt)) + 1;
             ws.memo_streamed_bytes = (chunk_frames + ws.memo_record.size()) * sizeof(double);
-            ws.memo_monolithic_bytes = n_frames * n_unknowns * sizeof(double);
           });
       ws.memo_attempts = ro.attempts;
       ws.memo_recovered = ro.recovered;
@@ -776,7 +748,7 @@ RefineOutcome SweepRunner::refine(const CornerGrid& grid, const SweepOutcome& pr
         const std::size_t index = fresh[fi];
         CornerResult& slot = out.outcome.results[index];
         slot.scenario = out.grid.at(index);
-        evaluate_corner(fn, workspaces_[worker], slot, index, worker, opt.isolate_failures);
+        evaluate_corner(fn, workspaces_[worker], slot, index, worker);
       },
       opt.chunk);
 
@@ -842,8 +814,6 @@ obs::Json summary_json(const CornerGrid& grid, const SweepSummary& s) {
 
   o.set("peak_streamed_record_bytes",
         obs::Json::integer(static_cast<long>(s.peak_streamed_record_bytes)));
-  o.set("peak_monolithic_record_bytes",
-        obs::Json::integer(static_cast<long>(s.peak_monolithic_record_bytes)));
 
   auto hist = obs::Json::object();
   hist.set("lo_db", obs::Json::number(s.histogram.lo_db));

@@ -73,13 +73,11 @@ struct Workspace {
   ScanCounts scan;
 
   /// Transient-record memory of the corner that produced memo_record,
-  /// filled by the corner function alongside the memo (pure functions of
+  /// filled by the corner function alongside the memo (a pure function of
   /// the memo key, so memo hits stay deterministic): bytes the streamed
-  /// path actually held (chunk staging + steady-state record) and bytes a
-  /// monolithic full record of every unknown would have held. SweepRunner
-  /// copies them into each CornerResult after the corner function returns.
+  /// path actually held (chunk staging + steady-state record). SweepRunner
+  /// copies it into each CornerResult after the corner function returns.
   std::size_t memo_streamed_bytes = 0;
-  std::size_t memo_monolithic_bytes = 0;
 
   /// Solver statistics of the transient behind memo_record — a pure
   /// function of the memo key, like the bytes above — and whether the
@@ -108,11 +106,9 @@ struct CornerResult {
   double wall_s = 0.0;
 
   /// Peak transient-record bytes of the streamed pipeline for this corner
-  /// (chunk staging + retained steady-state record) and the monolithic
-  /// full-record footprint it replaced. Deterministic per scenario; 0 when
-  /// the corner function does not report memory.
+  /// (chunk staging + retained steady-state record). Deterministic per
+  /// scenario; 0 when the corner function does not report memory.
   std::size_t streamed_record_bytes = 0;
-  std::size_t monolithic_record_bytes = 0;
 
   /// Solver statistics of the transient behind this corner's record.
   /// Memo hits repeat the producing corner's stats (pure per memo key),
@@ -122,9 +118,10 @@ struct CornerResult {
   std::size_t worker = 0;  ///< pool worker that evaluated this corner
 
   /// Solver-failure record. When the corner's solve failed past the retry
-  /// ladder and the sweep isolated it, solver_failed is set, `failure`
-  /// carries the formatted robust::SolveError (corner identity attached)
-  /// and `report` is empty. Both strings are empty on success.
+  /// ladder (the sweep isolates every robust::SolveError), solver_failed
+  /// is set, `failure` carries the formatted robust::SolveError (corner
+  /// identity attached) and `report` is empty. Both strings are empty on
+  /// success.
   bool solver_failed = false;
   std::string failure;
   std::string failure_kind;  ///< robust::failure_kind_name() of the failure
@@ -200,11 +197,10 @@ struct SweepSummary {
   /// as axis_worst.
   std::vector<std::vector<std::size_t>> axis_solver_failed;
 
-  /// Max over corners of the per-corner record footprints: what the
-  /// streamed transient path held at peak vs. what a monolithic
-  /// full-record run would have held (0 when corners report no memory).
+  /// Max over corners that ran of the per-corner record footprint: what
+  /// the streamed transient path held at peak (0 when corners report no
+  /// memory).
   std::size_t peak_streamed_record_bytes = 0;
-  std::size_t peak_monolithic_record_bytes = 0;
 
   MarginHistogram histogram;
 
@@ -212,8 +208,9 @@ struct SweepSummary {
 };
 
 /// Per-corner evaluation: Scenario -> ComplianceReport using only
-/// worker-local scratch plus shared *immutable* inputs. May throw; the
-/// sweep rethrows the first failure after the loop drains.
+/// worker-local scratch plus shared *immutable* inputs. May throw: a
+/// robust::SolveError is isolated into the corner's result, any other
+/// exception is rethrown by the sweep after the loop drains.
 using CornerFn =
     std::function<spec::ComplianceReport(const Scenario&, Workspace&)>;
 
@@ -266,21 +263,15 @@ class SweepAborted : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Full control surface of SweepRunner::run; the positional legacy
-/// overload forwards here.
+/// Full control surface of SweepRunner::run. Every robust::SolveError a
+/// corner throws is captured into its CornerResult (solver_failed +
+/// failure text) and the remaining corners still run; exceptions that are
+/// not SolveError propagate, because they signal bugs, not solver trouble.
 struct RunOptions {
   MarginHistogram histogram{};
   std::size_t chunk = 1;  ///< corners claimed per scheduling step
   ProgressFn progress{};
   ShardRange shard{};
-
-  /// Capture a corner's robust::SolveError into its CornerResult
-  /// (solver_failed + failure text) instead of failing the sweep — the
-  /// remaining corners still run and the summary counts the casualty
-  /// under solver_failed. Off restores the pre-isolation behavior (first
-  /// failure rethrown after the loop drains). Exceptions that are not
-  /// SolveError always propagate: they signal bugs, not solver trouble.
-  bool isolate_failures = true;
 
   /// Append every finished corner (successes and isolated failures) to
   /// this JSON-lines checkpoint journal, and before running restore the
@@ -289,7 +280,7 @@ struct RunOptions {
   /// (%.17g), so a killed shard resumed over the same journal produces a
   /// summary and per-corner reports byte-identical to an uninterrupted
   /// run. Empty disables checkpointing.
-  std::string journal_path;
+  std::string journal_path{};
 
   /// Cooperative abort: when *stop becomes true, workers stop claiming
   /// corners and run() throws SweepAborted after the pool drains (the
@@ -348,19 +339,14 @@ class SweepRunner {
 
   /// Evaluate every corner of `grid` through `fn` and aggregate. Corner
   /// order in the result vector is grid order regardless of scheduling.
-  /// `chunk` consecutive corners are claimed per scheduling step (pass
+  /// `opt.chunk` consecutive corners are claimed per scheduling step (pass
   /// emission_chunk_hint(grid) so corners sharing a transient stay on one
   /// worker and its record memo hits); results are chunk-invariant.
-  /// `shard` restricts the run to a contiguous grid-index range for
+  /// `opt.shard` restricts the run to a contiguous grid-index range for
   /// sharded execution: results hold only that range (grid order) and the
-  /// summary comes from summarize_shard().
-  SweepOutcome run(const CornerGrid& grid, const CornerFn& fn,
-                   const MarginHistogram& histogram_spec = {}, std::size_t chunk = 1,
-                   const ProgressFn& progress = {}, ShardRange shard = {});
-
-  /// Same run with the full option set: failure isolation, checkpoint
-  /// journal + resume, cooperative abort. See RunOptions.
-  SweepOutcome run(const CornerGrid& grid, const CornerFn& fn, const RunOptions& opt);
+  /// summary comes from summarize_shard(). See RunOptions for the
+  /// checkpoint journal, resume and cooperative abort.
+  SweepOutcome run(const CornerGrid& grid, const CornerFn& fn, const RunOptions& opt = {});
 
   /// Scenario-axis refinement stage: subdivide `grid`'s axes around the
   /// pass/fail boundaries in `prior.summary` (plan_axis_refinement),
@@ -410,7 +396,7 @@ obs::Json margin_json(double margin_db);
 /// The summary as a JSON object — the schema BENCH_sweep.json, the corner
 /// sweep example and RunReports share (corners/passed/failed counts,
 /// worst margin + corner, per-axis worst table over non-singleton axes,
-/// record-memory peaks, margin histogram).
+/// record-memory peak, margin histogram).
 obs::Json summary_json(const CornerGrid& grid, const SweepSummary& s);
 
 /// Pool utilization as a JSON array of per-worker rows (busy/idle seconds,

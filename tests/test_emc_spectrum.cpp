@@ -9,7 +9,6 @@
 #include "emc/limits.hpp"
 #include "emc/receiver.hpp"
 #include "emc/spectrum.hpp"
-#include "signal/sources.hpp"
 #include "signal/waveform.hpp"
 
 using namespace emc;
@@ -21,13 +20,6 @@ sig::Waveform tone(double amplitude, double freq, double fs, std::size_t n) {
   return sig::Waveform::sample(
       [=](double t) { return amplitude * std::sin(2.0 * std::numbers::pi * freq * t); }, 0.0,
       1.0 / fs, n);
-}
-
-sig::Waveform noise(double fs, std::size_t n, std::uint64_t seed) {
-  sig::Lcg rng(seed);
-  std::vector<double> y(n);
-  for (auto& v : y) v = rng.uniform() * 2.0 - 1.0;
-  return sig::Waveform(0.0, 1.0 / fs, std::move(y));
 }
 
 }  // namespace
@@ -94,48 +86,6 @@ TEST(EmcSpectrum, DcBinIsNotDoubled) {
   const auto s = spec::amplitude_spectrum(w, Window::kRectangular);
   EXPECT_NEAR(s.value[0], 2.5, 1e-12);
   EXPECT_NEAR(s.value[5], 0.0, 1e-12);
-}
-
-// ----------------------------------------------------------------- Welch
-
-TEST(EmcWelch, RectangularNonOverlappingConservesPower) {
-  // With a rectangular window and exact segmentation, sum(PSD)*df equals
-  // the record's mean square by Parseval.
-  const auto w = noise(1e6, 4096, 11);
-  const auto psd = spec::welch_psd(w, 512, Window::kRectangular, 0.0);
-  double ms = 0.0;
-  for (std::size_t k = 0; k < w.size(); ++k) ms += w[k] * w[k];
-  ms /= static_cast<double>(w.size());
-  double integral = 0.0;
-  for (double v : psd.value) integral += v * psd.df;
-  EXPECT_NEAR(integral, ms, 1e-10 * ms);
-}
-
-TEST(EmcWelch, HannOverlapApproximatelyConservesNoisePower) {
-  const auto w = noise(1e6, 8192, 23);
-  const auto psd = spec::welch_psd(w, 512, Window::kHann, 0.5);
-  double ms = 0.0;
-  for (std::size_t k = 0; k < w.size(); ++k) ms += w[k] * w[k];
-  ms /= static_cast<double>(w.size());
-  double integral = 0.0;
-  for (double v : psd.value) integral += v * psd.df;
-  EXPECT_NEAR(integral, ms, 0.1 * ms);  // windowed estimate: ~few %
-}
-
-TEST(EmcWelch, LocatesAToneAtTheRightBin) {
-  const auto w = tone(1.0, 32e3, 1.024e6, 8192);
-  const auto psd = spec::welch_psd(w, 1024, Window::kHann, 0.5);
-  std::size_t peak_bin = 0;
-  for (std::size_t k = 1; k < psd.size(); ++k)
-    if (psd.value[k] > psd.value[peak_bin]) peak_bin = k;
-  EXPECT_NEAR(psd.frequency_at(peak_bin), 32e3, psd.df);
-}
-
-TEST(EmcWelch, RejectsBadArguments) {
-  const auto w = noise(1e6, 256, 3);
-  EXPECT_THROW(spec::welch_psd(w, 1), std::invalid_argument);
-  EXPECT_THROW(spec::welch_psd(w, 512), std::invalid_argument);
-  EXPECT_THROW(spec::welch_psd(w, 128, Window::kHann, 1.0), std::invalid_argument);
 }
 
 // ------------------------------------------------------------ EMI receiver

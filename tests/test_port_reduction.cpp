@@ -326,10 +326,10 @@ TEST_F(EmissionCorner, ReusedRunnerMatchesFreshRunnerAcrossConfigs) {
 
   const std::size_t chunk = sweep::emission_chunk_hint(grid);
   sweep::SweepRunner reused(1);
-  const auto out_a = reused.run(grid, sweep::make_emission_corner_fn(a), {}, chunk);
-  const auto out_b = reused.run(grid, sweep::make_emission_corner_fn(b), {}, chunk);
+  const auto out_a = reused.run(grid, sweep::make_emission_corner_fn(a), {.chunk = chunk});
+  const auto out_b = reused.run(grid, sweep::make_emission_corner_fn(b), {.chunk = chunk});
   sweep::SweepRunner fresh(1);
-  const auto ref_b = fresh.run(grid, sweep::make_emission_corner_fn(b), {}, chunk);
+  const auto ref_b = fresh.run(grid, sweep::make_emission_corner_fn(b), {.chunk = chunk});
 
   EXPECT_NE(out_a.summary.worst_margin_db, ref_b.summary.worst_margin_db);
   EXPECT_TRUE(out_b.summary == ref_b.summary);

@@ -286,6 +286,19 @@ TEST(Csv, UnwritablePathThrows) {
   }
 }
 
+TEST(CsvWriters, WriteFailureThrowsInsteadOfTruncating) {
+  // /dev/full accepts opens but fails every flush with ENOSPC — exactly
+  // the silent-truncation scenario the stream-state checks must catch.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+
+  const Waveform w(0.0, 1e-9, std::vector<double>(4096, 1.0));
+  EXPECT_THROW(write_csv("/dev/full", {"v"}, {w}), std::runtime_error);
+
+  const std::vector<double> freq(4096, 1e6);
+  const std::vector<std::vector<double>> cols{std::vector<double>(4096, 0.0)};
+  EXPECT_THROW(write_spectrum_csv("/dev/full", {"s"}, freq, cols), std::runtime_error);
+}
+
 // ---- degenerate metric inputs: empty, constant, and single-sample records
 
 TEST(MetricsDegenerate, EmptyWaveforms) {

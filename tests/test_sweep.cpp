@@ -199,7 +199,9 @@ TEST(ThreadPool, WorkerAccountingIsConsistent) {
     // report's busy_fraction field relies on.
     const std::uint64_t total = ws.busy_ns + ws.idle_ns;
     EXPECT_LE(ws.busy_ns, total);
-    if (ws.items > 0) EXPECT_GT(ws.busy_ns, 0u) << "worker " << w;
+    if (ws.items > 0) {
+      EXPECT_GT(ws.busy_ns, 0u) << "worker " << w;
+    }
   }
   EXPECT_EQ(items, static_cast<std::uint64_t>(kN) * kEpochs);
   // Every worker observed the same epochs, so their wall totals agree up
@@ -377,12 +379,10 @@ TEST(SweepSummary, RecordMemoryPeaksAggregateOverAllCorners) {
     // Corner 1 is uncovered but ran the biggest transient: its footprint
     // must still win the peak.
     results[i].report = report_with_margin(1.0, /*covered=*/i != 1);
-    results[i].streamed_record_bytes = 100 * (i + 1);
-    results[i].monolithic_record_bytes = i == 1 ? 999999 : 5000;
+    results[i].streamed_record_bytes = i == 1 ? 999999 : 100 * (i + 1);
   }
   const auto s = summarize(grid, results);
-  EXPECT_EQ(s.peak_streamed_record_bytes, 300u);
-  EXPECT_EQ(s.peak_monolithic_record_bytes, 999999u);
+  EXPECT_EQ(s.peak_streamed_record_bytes, 999999u);
 }
 
 // --------------------------------------------------- SweepRunner contract
@@ -429,7 +429,7 @@ TEST(SweepRunner, OneThreadAndNThreadSweepsAreBitIdentical) {
   EXPECT_TRUE(a.summary == b.summary);
 
   // Chunked scheduling must not change anything either.
-  const auto c = parallel.run(grid, rc_corner, {}, /*chunk=*/4);
+  const auto c = parallel.run(grid, rc_corner, {.chunk = 4});
   EXPECT_TRUE(a.summary == c.summary);
   ASSERT_EQ(a.results.size(), b.results.size());
   for (std::size_t i = 0; i < a.results.size(); ++i) {
@@ -452,21 +452,18 @@ TEST(SweepRunner, MemoryAccountingRidesWorkspaceAndIsSchedulingIndependent) {
   // guarantees: every scheduling must report identical bytes.
   const CornerFn fn = [](const Scenario& sc, Workspace& ws) {
     ws.memo_streamed_bytes = 10 + sc.index;
-    ws.memo_monolithic_bytes = 1000 + 10 * sc.index;
     return report_with_margin(1.0);
   };
 
   SweepRunner serial(1);
   SweepRunner parallel(4);
   const auto a = serial.run(grid, fn);
-  const auto b = parallel.run(grid, fn, {}, /*chunk=*/3);
+  const auto b = parallel.run(grid, fn, {.chunk = 3});
   EXPECT_TRUE(a.summary == b.summary);
   EXPECT_EQ(a.summary.peak_streamed_record_bytes, 17u);
-  EXPECT_EQ(a.summary.peak_monolithic_record_bytes, 1070u);
   for (std::size_t i = 0; i < grid.size(); ++i) {
     EXPECT_EQ(a.results[i].streamed_record_bytes, 10 + i);
     EXPECT_EQ(b.results[i].streamed_record_bytes, 10 + i);
-    EXPECT_EQ(a.results[i].monolithic_record_bytes, 1000 + 10 * i);
   }
 }
 
@@ -481,7 +478,7 @@ TEST(SweepRunner, ProgressCallbackSeesEveryCornerOnce) {
   std::atomic<std::size_t> max_done{0};
   SweepRunner runner(3);
   const auto out = runner.run(
-      grid, fn, {}, /*chunk=*/1, [&](std::size_t done, std::size_t total) {
+      grid, fn, {.progress = [&](std::size_t done, std::size_t total) {
         EXPECT_EQ(total, grid.size());
         EXPECT_GE(done, 1u);
         EXPECT_LE(done, total);
@@ -489,7 +486,7 @@ TEST(SweepRunner, ProgressCallbackSeesEveryCornerOnce) {
         std::size_t prev = max_done.load();
         while (done > prev && !max_done.compare_exchange_weak(prev, done)) {
         }
-      });
+      }});
   EXPECT_EQ(calls.load(), grid.size());
   EXPECT_EQ(max_done.load(), grid.size());
   EXPECT_EQ(out.summary.corners, grid.size());
@@ -525,7 +522,7 @@ TEST(SweepRunner, SolverTelemetryRidesWorkspaceLikeMemory) {
   };
 
   SweepRunner serial(1);
-  const auto out = serial.run(grid, fn, {}, emission_chunk_hint(grid));
+  const auto out = serial.run(grid, fn, {.chunk = emission_chunk_hint(grid)});
   for (const auto& r : out.results) {
     EXPECT_EQ(r.solve.total_newton_iters,
               100 + static_cast<long>(r.scenario.pattern_seed))
@@ -545,7 +542,7 @@ TEST(SweepRunner, CornerExceptionDoesNotDeadlockAndPoolSurvives) {
 
   SweepRunner runner(3);
   // A non-SolveError signals a bug, not solver trouble: it must propagate
-  // even under the default failure-isolation policy.
+  // even though the sweep isolates every SolveError.
   const CornerFn faulty = [](const Scenario& sc, Workspace& ws) {
     if (sc.index == 5) throw std::runtime_error("diverged corner");
     return rc_corner(sc, ws);
@@ -608,13 +605,6 @@ TEST(SweepRunner, SolveErrorIsIsolatedByDefaultAndSweepCompletes) {
   SweepRunner serial(1);
   const auto ref = serial.run(grid, fn, RunOptions{});
   EXPECT_TRUE(ref.summary == out.summary);
-
-  // Opting out restores the fail-fast contract. With two failing corners
-  // the pool may wrap the survivor exception in its suppression message,
-  // so catch the base type (SolveError IS-A runtime_error).
-  RunOptions strict;
-  strict.isolate_failures = false;
-  EXPECT_THROW(runner.run(grid, fn, strict), std::runtime_error);
 }
 
 TEST(SweepSummary, SolverFailuresAreClassifiedAndAttributedPerAxis) {
@@ -671,7 +661,6 @@ TEST(SweepJournal, CornerEntryRoundTripsBitForBit) {
   r.report = report_with_margin(-1.0 / 3.0);  // not representable in %.9g
   r.report.skipped_scan_points = 2;
   r.streamed_record_bytes = 4096;
-  r.monolithic_record_bytes = 123456;
   r.solve.total_newton_iters = 321;
   r.solve.restamps = 3;
   r.solve_attempts = 2;
@@ -688,7 +677,6 @@ TEST(SweepJournal, CornerEntryRoundTripsBitForBit) {
   // the journaled record (it is scheduling history, not corner data).
   EXPECT_FALSE(back.from_checkpoint);
   EXPECT_EQ(back.streamed_record_bytes, 4096u);
-  EXPECT_EQ(back.monolithic_record_bytes, 123456u);
   EXPECT_EQ(back.solve.total_newton_iters, 321);
   EXPECT_EQ(back.solve.restamps, 3);
   // Bit-exact doubles: the whole point of the %.17g spelling.
@@ -697,6 +685,16 @@ TEST(SweepJournal, CornerEntryRoundTripsBitForBit) {
   EXPECT_EQ(back.report.points[0].margin_db, r.report.points[0].margin_db);
   EXPECT_EQ(back.report.skipped_scan_points, 2u);
   EXPECT_EQ(back.report.pass, r.report.pass);
+
+  // Journals written before the retired "monolithic_bytes" key was dropped
+  // still resume: the extra key is ignored and the rest loads unchanged.
+  EXPECT_EQ(entry.find("monolithic_bytes"), nullptr);
+  auto legacy = entry;
+  legacy.set("monolithic_bytes", obs::Json::integer(123456));
+  std::size_t glegacy = SIZE_MAX;
+  const CornerResult old = corner_from_journal(legacy, glegacy);
+  EXPECT_EQ(glegacy, 1u);
+  EXPECT_EQ(corner_journal_json(1, old).dump(0), entry.dump(0));
 
   // A failed corner round-trips its failure record instead of a report.
   CornerResult f;
