@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "sweep/thread_pool.hpp"
+
 namespace emc::core {
 
 namespace {
@@ -42,8 +44,11 @@ double free_run_error(const ident::RbfModel& m, ident::NarxOrders ord,
 /// pulls the fit toward the extreme-current statics and consistently
 /// degrades the transition dynamics of the faster devices; the residual
 /// static zero-crossing offset is documented in EXPERIMENTS.md.)
+/// `pool` runs each path's selection and scoring (see fit_rbf_best); the
+/// fitted model does not depend on it.
 ident::RbfModel fit_submodel(const PortRecord& train, const PortRecord& val, int order,
-                             int max_basis, const ident::RbfFitOptions& base) {
+                             int max_basis, const ident::RbfFitOptions& base,
+                             sweep::ThreadPool& pool) {
   ident::NarxOrders ord{order, order};
   const auto ds = ident::build_narx_dataset(train.v, train.i, ord);
   ident::RbfFitOptions o = base;
@@ -60,7 +65,8 @@ ident::RbfModel fit_submodel(const PortRecord& train, const PortRecord& val, int
                                // the training record is part of the score.
                                return free_run_error(m, ord, val) +
                                       free_run_error(m, ord, train);
-                             });
+                             },
+                             &pool);
 }
 
 /// Free-run a submodel over a recorded voltage, seeding its histories at
@@ -194,8 +200,12 @@ PwRbfDriverModel estimate_driver_model(const DriverDut& dut,
   const auto val_h = record_state(dut, true, vopt, opt.seed + 53);
   const auto val_l = record_state(dut, false, vopt, opt.seed + 54);
 
-  model.f_high = fit_submodel(rec_h, val_h, opt.order, opt.max_basis_high, opt.rbf);
-  model.f_low = fit_submodel(rec_l, val_l, opt.order, opt.max_basis_low, opt.rbf);
+  // The submodels are fitted one after the other: each OLS path holds an
+  // n x candidates selection matrix, the bulk of estimation's memory, so
+  // the parallelism goes inside a path rather than across paths.
+  sweep::ThreadPool pool(sweep::ThreadPool::default_workers());
+  model.f_high = fit_submodel(rec_h, val_h, opt.order, opt.max_basis_high, opt.rbf, pool);
+  model.f_low = fit_submodel(rec_l, val_l, opt.order, opt.max_basis_low, opt.rbf, pool);
 
   // --- 2. Switching weights ----------------------------------------------
   // One bit of pre-roll so the DC point is settled, then the edge.

@@ -8,6 +8,7 @@
 
 #include "linalg/decomp.hpp"
 #include "signal/sources.hpp"
+#include "sweep/thread_pool.hpp"
 
 namespace emc::ident {
 
@@ -67,6 +68,17 @@ double kernel(std::span<const double> z, std::span<const double> c, double inv2s
   return std::exp(-dist2 * inv2s2);
 }
 
+/// fn(i) for every i in [0, n): split over the pool's workers when there
+/// is a pool, inline in index order otherwise. The callers' loop bodies
+/// write disjoint slots, so both give the same bits.
+void for_each_index(sweep::ThreadPool* pool, std::size_t n,
+                    const std::function<void(std::size_t)>& fn) {
+  if (pool)
+    pool->parallel_for(n, [&](std::size_t i, std::size_t) { fn(i); });
+  else
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+}
+
 /// Deflate the M candidates p[c[0..M)] by the selected column q (q.q = qq)
 /// and recompute their pp = p.p and py = p.yres against the already
 /// deflated target. Pass 1 takes q.p_c, pass 2 updates p_c and
@@ -107,13 +119,13 @@ void deflate_block(const std::size_t* c, std::vector<std::vector<double>>& p,
 }  // namespace
 
 OlsPath::OlsPath(const linalg::Matrix& x, std::span<const double> y,
-                 const RbfFitOptions& opt)
-    : scaler_(Scaler::fit(x)), y_(y.begin(), y.end()), sigma_(opt.sigma), ridge_(opt.ridge) {
+                 const RbfFitOptions& opt, sweep::ThreadPool* pool)
+    : scaler_(Scaler::fit(x)), sigma_(opt.sigma), ridge_(opt.ridge) {
   const std::size_t n = x.rows();
   if (n == 0 || y.size() != n) throw std::invalid_argument("OlsPath: bad dataset");
   if (opt.max_basis < 1) throw std::invalid_argument("OlsPath: max_basis must be >= 1");
 
-  z_ = scaler_.transform(x);
+  const linalg::Matrix z = scaler_.transform(x);
   const double inv2s2 = 1.0 / (2.0 * sigma_ * sigma_);
 
   // Candidate centers: subsample training rows deterministically.
@@ -132,40 +144,38 @@ OlsPath::OlsPath(const linalg::Matrix& x, std::span<const double> y,
   }
   const std::size_t nc = cand.size();
 
-  // Candidate design columns phi_c (n x nc), plus the residual targets.
+  std::vector<double> yres(y.begin(), y.end());
+  // Deflate the mean (the bias regressor is always in the model).
+  ymean_ = std::accumulate(yres.begin(), yres.end(), 0.0) / static_cast<double>(n);
+  for (auto& v : yres) v -= ymean_;
+
+  // Candidate design columns phi_c (n x nc), mean-deflated like the target.
   // OLS with incremental Gram-Schmidt: after a column is selected, all
   // remaining candidates and the target are deflated by it; the error
   // reduction ratio of a candidate is then (p.y)^2 / (p.p * y.y).
-  std::vector<std::vector<double>> p(nc, std::vector<double>(n));
-  for (std::size_t c = 0; c < nc; ++c) {
-    const auto center = z_.row(cand[c]);
-    for (std::size_t r = 0; r < n; ++r) p[c][r] = kernel(z_.row(r), center, inv2s2);
-  }
-
-  std::vector<double> yres(y.begin(), y.end());
-  // Deflate the mean (the bias regressor is always in the model).
-  const double ymean =
-      std::accumulate(yres.begin(), yres.end(), 0.0) / static_cast<double>(n);
-  for (auto& v : yres) v -= ymean;
-  for (std::size_t c = 0; c < nc; ++c) {
-    const double m =
-        std::accumulate(p[c].begin(), p[c].end(), 0.0) / static_cast<double>(n);
-    for (auto& v : p[c]) v -= m;
-  }
-
-  const double y_energy = std::max(linalg::dot(yres, yres), 1e-30);
-  std::vector<bool> used(nc, false);
-
+  //
   // pp[c] = p_c.p_c and py[c] = p_c.yres of every live candidate, kept
   // current by the fused deflation pass below. Each value is one
   // sequential accumulation in row order — exactly linalg::dot's — so the
   // selection equals the textbook loop (recompute both dots per step,
   // then deflate) bit for bit, in two passes over the candidates per pick.
+  // The columns are allocated here, on the calling thread, so they come
+  // from the caller's heap as in a serial run, not from per-worker
+  // arenas; the workers only fill and deflate them.
+  std::vector<std::vector<double>> p(nc, std::vector<double>(n));
   std::vector<double> pp(nc), py(nc);
-  for (std::size_t c = 0; c < nc; ++c) {
-    pp[c] = linalg::dot(p[c], p[c]);
-    py[c] = linalg::dot(p[c], yres);
-  }
+  for_each_index(pool, nc, [&](std::size_t c) {
+    auto& col = p[c];
+    const auto center = z.row(cand[c]);
+    for (std::size_t r = 0; r < n; ++r) col[r] = kernel(z.row(r), center, inv2s2);
+    const double m = std::accumulate(col.begin(), col.end(), 0.0) / static_cast<double>(n);
+    for (auto& v : col) v -= m;
+    pp[c] = linalg::dot(col, col);
+    py[c] = linalg::dot(col, yres);
+  });
+
+  const double y_energy = std::max(linalg::dot(yres, yres), 1e-30);
+  std::vector<bool> used(nc, false);
   std::vector<std::size_t> live;  // unused candidates, ascending
   live.reserve(nc);
 
@@ -189,7 +199,10 @@ OlsPath::OlsPath(const linalg::Matrix& x, std::span<const double> y,
     if (step + 1 == n_select) break;  // nothing left to pick against
 
     // Deflate the target and the remaining candidates by the chosen
-    // column q (no longer modified: it is used), rescoring as we go.
+    // column q (no longer modified: it is used), rescoring as we go. The
+    // live candidates go out in blocks of four plus single tail columns;
+    // a candidate's sums do not depend on its block, so neither the
+    // blocking nor the split over workers changes a bit.
     const std::span<const double> q = p[best_c];
     const double qq = pp[best_c];
     const double qy = py[best_c] / qq;
@@ -197,41 +210,48 @@ OlsPath::OlsPath(const linalg::Matrix& x, std::span<const double> y,
     live.clear();
     for (std::size_t c = 0; c < nc; ++c)
       if (!used[c]) live.push_back(c);
-    std::size_t k = 0;
-    for (; k + 4 <= live.size(); k += 4) deflate_block<4>(&live[k], p, q, qq, yres, pp, py);
-    for (; k < live.size(); ++k) deflate_block<1>(&live[k], p, q, qq, yres, pp, py);
+    const std::size_t blocks = live.size() / 4;
+    for_each_index(pool, blocks + live.size() % 4, [&](std::size_t b) {
+      if (b < blocks)
+        deflate_block<4>(&live[4 * b], p, q, qq, yres, pp, py);
+      else
+        deflate_block<1>(&live[3 * blocks + b], p, q, qq, yres, pp, py);
+    });
+  }
+  // Only the picks are needed from here: free the n x nc selection matrix.
+  p = {};
+  yres = {};
+
+  // Normal equations of A = [1, phi_1 .. phi_m], one pass over the rows.
+  const std::size_t m = order_.size();
+  const std::size_t d = z.cols();
+  centers_ = linalg::Matrix(m, d);
+  for (std::size_t j = 0; j < m; ++j) {
+    const auto c = z.row(order_[j]);
+    for (std::size_t k = 0; k < d; ++k) centers_(j, k) = c[k];
+  }
+  normal_ = linalg::NormalEquations(m + 1);
+  std::vector<double> a(m + 1);
+  a[0] = 1.0;
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t j = 0; j < m; ++j)
+      a[j + 1] = kernel(z.row(r), centers_.row(j), inv2s2);
+    normal_.add_row(a, y[r]);
   }
 }
 
 RbfModel OlsPath::model(std::size_t n_basis) const {
-  const std::size_t n = z_.rows();
-  const std::size_t d = z_.cols();
+  const std::size_t d = centers_.cols();
   const std::size_t m = std::min(n_basis, order_.size());
-  const double inv2s2 = 1.0 / (2.0 * sigma_ * sigma_);
+  if (m == 0) return RbfModel(scaler_, linalg::Matrix(0, d), {}, ymean_, sigma_);
 
-  if (m == 0) {
-    const double ymean =
-        std::accumulate(y_.begin(), y_.end(), 0.0) / static_cast<double>(n);
-    return RbfModel(scaler_, linalg::Matrix(0, d), {}, ymean, sigma_);
-  }
-
-  // Weights: ridge least squares on the selected raw columns + bias.
-  linalg::Matrix a(n, m + 1);
-  for (std::size_t r = 0; r < n; ++r) a(r, 0) = 1.0;
-  for (std::size_t j = 0; j < m; ++j) {
-    const auto center = z_.row(order_[j]);
-    for (std::size_t r = 0; r < n; ++r) a(r, j + 1) = kernel(z_.row(r), center, inv2s2);
-  }
-  const auto w = linalg::solve_ridge(a, y_, ridge_);
+  // Weights: ridge least squares on the bias + the first m selected columns.
+  const auto w = normal_.solve_ridge(m + 1, ridge_);
 
   linalg::Matrix centers(m, d);
-  std::vector<double> weights(m);
-  for (std::size_t j = 0; j < m; ++j) {
-    const auto c = z_.row(order_[j]);
-    for (std::size_t k = 0; k < d; ++k) centers(j, k) = c[k];
-    weights[j] = w[j + 1];
-  }
-  return RbfModel(scaler_, std::move(centers), std::move(weights), w[0], sigma_);
+  std::copy_n(centers_.data(), m * d, centers.data());
+  return RbfModel(scaler_, std::move(centers), std::vector<double>(w.begin() + 1, w.end()),
+                  w[0], sigma_);
 }
 
 RbfModel fit_rbf_ols(const linalg::Matrix& x, std::span<const double> y,
@@ -243,23 +263,28 @@ RbfModel fit_rbf_ols(const linalg::Matrix& x, std::span<const double> y,
 RbfModel fit_rbf_best(const linalg::Matrix& x, std::span<const double> y,
                       const RbfFitOptions& base, std::span<const double> sigma_grid,
                       std::span<const int> basis_grid,
-                      const std::function<double(const RbfModel&)>& score) {
+                      const std::function<double(const RbfModel&)>& score,
+                      sweep::ThreadPool* pool) {
   if (sigma_grid.empty() || basis_grid.empty())
     throw std::invalid_argument("fit_rbf_best: empty grids");
 
   RbfModel best;
   double best_score = std::numeric_limits<double>::infinity();
+  std::vector<RbfModel> models(basis_grid.size());
+  std::vector<double> scores(basis_grid.size());
   for (double s : sigma_grid) {
     RbfFitOptions opt = base;
     opt.sigma = s;
     opt.max_basis = *std::max_element(basis_grid.begin(), basis_grid.end());
-    const OlsPath path(x, y, opt);
-    for (int nb : basis_grid) {
-      RbfModel m = path.model(static_cast<std::size_t>(nb));
-      const double sc = score(m);
-      if (std::isfinite(sc) && sc < best_score) {
-        best_score = sc;
-        best = std::move(m);
+    const OlsPath path(x, y, opt, pool);
+    for_each_index(pool, basis_grid.size(), [&](std::size_t k) {
+      models[k] = path.model(static_cast<std::size_t>(basis_grid[k]));
+      scores[k] = score(models[k]);
+    });
+    for (std::size_t k = 0; k < basis_grid.size(); ++k) {
+      if (std::isfinite(scores[k]) && scores[k] < best_score) {
+        best_score = scores[k];
+        best = std::move(models[k]);
       }
     }
   }

@@ -10,7 +10,12 @@
 #include <vector>
 
 #include "ident/dataset.hpp"
+#include "linalg/decomp.hpp"
 #include "linalg/matrix.hpp"
+
+namespace emc::sweep {
+class ThreadPool;
+}
 
 namespace emc::ident {
 
@@ -69,15 +74,29 @@ RbfModel fit_rbf_ols(const linalg::Matrix& x, std::span<const double> y,
 
 /// The OLS greedy selection is nested: the first j selected centers of a
 /// larger fit are exactly the j-basis fit. OlsPath captures one selection
-/// run so models of several sizes can be re-solved cheaply (weights are a
-/// small ridge solve per prefix) — used for free-run-scored model-order
-/// selection by the macromodel estimators.
+/// run so models of several sizes can be re-solved cheaply — used for
+/// free-run-scored model-order selection by the macromodel estimators.
+///
+/// Once the selection ends, the candidate columns are dropped and one pass
+/// over the rows accumulates the linalg::NormalEquations of the bias plus
+/// every selected kernel column. model(n) ridge-solves their leading
+/// (n+1) block, so its weights equal linalg::solve_ridge on the n-center
+/// design matrix bit for bit, without building that matrix per call.
+///
+/// Pool contract: with a pool, the candidate kernel fill and each pick's
+/// deflation of the live candidates are split over the pool's workers.
+/// The argmax and the target deflation stay serial, and every candidate
+/// keeps its own row-order accumulators, so the selection, and every
+/// model(), is bit-identical to a null pool (which runs the same loop
+/// bodies inline). The pool must not be running a parallel_for of its own
+/// (ThreadPool is not reentrant).
 class OlsPath {
  public:
-  OlsPath(const linalg::Matrix& x, std::span<const double> y, const RbfFitOptions& opt);
+  OlsPath(const linalg::Matrix& x, std::span<const double> y, const RbfFitOptions& opt,
+          sweep::ThreadPool* pool = nullptr);
 
   /// Model using the first `n_basis` selected centers (clipped to the
-  /// number actually selected).
+  /// number actually selected). Thread-safe: concurrent calls only read.
   RbfModel model(std::size_t n_basis) const;
 
   std::size_t selected() const { return order_.size(); }
@@ -87,19 +106,28 @@ class OlsPath {
 
  private:
   Scaler scaler_;
-  linalg::Matrix z_;  // standardized training rows
-  std::vector<double> y_;
+  linalg::Matrix centers_;          // selected centers (scaled space), in pick order
   std::vector<std::size_t> order_;  // selected row indices, in pick order
+  linalg::NormalEquations normal_;  // of A = [1, phi_1 .. phi_m], m = selected()
+  double ymean_ = 0.0;              // the bias-only model
   double sigma_;
   double ridge_;
 };
 
 /// Grid search over (sigma, basis count), scoring each candidate model
-/// with `score` (lower is better, e.g. free-run validation error).
+/// with `score` (lower is better, e.g. free-run validation error). The
+/// sigma paths are built one at a time (each holds the n x candidates
+/// selection matrix while it runs). With a pool, each path's selection is
+/// candidate-parallel (see OlsPath) and its basis-count models are built
+/// and scored concurrently, so `score` must be safe to call from several
+/// threads at once and must not use the pool itself. The scores are
+/// reduced in grid order with a strict `<`, so the first candidate wins a
+/// tie and the pick equals a null-pool run's.
 RbfModel fit_rbf_best(const linalg::Matrix& x, std::span<const double> y,
                       const RbfFitOptions& base, std::span<const double> sigma_grid,
                       std::span<const int> basis_grid,
-                      const std::function<double(const RbfModel&)>& score);
+                      const std::function<double(const RbfModel&)>& score,
+                      sweep::ThreadPool* pool = nullptr);
 
 /// Fit trying several kernel widths, keeping the best one-step-ahead
 /// validation error on the last quarter of the data.

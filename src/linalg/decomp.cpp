@@ -166,23 +166,31 @@ std::vector<double> solve_least_squares(const Matrix& a, std::span<const double>
   return x;
 }
 
-std::vector<double> solve_ridge(const Matrix& a, std::span<const double> b, double lambda) {
-  const std::size_t n = a.cols();
-  if (b.size() != a.rows()) throw std::invalid_argument("solve_ridge: size mismatch");
-  Matrix ata(n, n);
+void NormalEquations::add_row(std::span<const double> row, double b) {
+  const std::size_t n = atb_.size();
+  if (row.size() != n) throw std::invalid_argument("NormalEquations: row size mismatch");
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j <= i; ++j) {
-      double acc = 0.0;
-      for (std::size_t k = 0; k < a.rows(); ++k) acc += a(k, i) * a(k, j);
-      ata(i, j) = acc;
-      ata(j, i) = acc;
-    }
-    ata(i, i) += lambda;
+    const double ai = row[i];
+    for (std::size_t j = 0; j <= i; ++j) ata_(i, j) += ai * row[j];
+    atb_[i] += ai * b;
   }
-  std::vector<double> atb(n, 0.0);
-  for (std::size_t k = 0; k < a.rows(); ++k)
-    for (std::size_t i = 0; i < n; ++i) atb[i] += a(k, i) * b[k];
-  return Cholesky(ata).solve(atb);
+}
+
+std::vector<double> NormalEquations::solve_ridge(std::size_t k, double lambda) const {
+  if (k > atb_.size()) throw std::invalid_argument("NormalEquations: k > columns");
+  Matrix g(k, k);  // Cholesky reads the lower triangle only
+  for (std::size_t i = 0; i < k; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) g(i, j) = ata_(i, j);
+    g(i, i) += lambda;
+  }
+  return Cholesky(g).solve(std::span<const double>(atb_).first(k));
+}
+
+std::vector<double> solve_ridge(const Matrix& a, std::span<const double> b, double lambda) {
+  if (b.size() != a.rows()) throw std::invalid_argument("solve_ridge: size mismatch");
+  NormalEquations ne(a.cols());
+  for (std::size_t k = 0; k < a.rows(); ++k) ne.add_row(a.row(k), b[k]);
+  return ne.solve_ridge(a.cols(), lambda);
 }
 
 std::vector<double> solve_dense(const Matrix& a, std::span<const double> b) {

@@ -77,6 +77,30 @@ class Cholesky {
 /// (requires rows >= cols). Throws std::runtime_error on rank deficiency.
 std::vector<double> solve_least_squares(const Matrix& a, std::span<const double> b);
 
+/// Normal equations A^T A and A^T b of a least-squares problem,
+/// accumulated one row of A at a time. Every entry is its own sequential
+/// sum in row order, so the leading k x k block is, bit for bit, the
+/// normal equations of A's first k columns: one pass serves every prefix.
+class NormalEquations {
+ public:
+  NormalEquations() = default;
+  /// n columns, all sums zero.
+  explicit NormalEquations(std::size_t n) : ata_(n, n), atb_(n, 0.0) {}
+
+  /// Add one row of A (size n) and its right-hand side.
+  void add_row(std::span<const double> row, double b);
+
+  /// (A_k^T A_k + lambda I) x = A_k^T b over the first k columns (k <= n),
+  /// by Cholesky. Throws std::runtime_error if not positive definite.
+  std::vector<double> solve_ridge(std::size_t k, double lambda) const;
+
+  std::size_t size() const { return atb_.size(); }
+
+ private:
+  Matrix ata_;  ///< lower triangle of A^T A
+  std::vector<double> atb_;
+};
+
 /// Ridge-regularized least squares: (A^T A + lambda I) x = A^T b.
 /// Robust for nearly collinear regressor sets.
 std::vector<double> solve_ridge(const Matrix& a, std::span<const double> b, double lambda);

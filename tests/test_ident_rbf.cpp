@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
+#include <string>
 
 #include "ident/rbf.hpp"
+#include "linalg/decomp.hpp"
 #include "linalg/matrix.hpp"
 #include "signal/sources.hpp"
+#include "sweep/thread_pool.hpp"
 
 using namespace emc::ident;
 namespace la = emc::linalg;
@@ -101,6 +107,109 @@ std::vector<std::size_t> naive_ols_order(const la::Matrix& x, std::span<const do
     }
   }
   return order;
+}
+
+/// The weight solve OlsPath::model made before it cached the normal
+/// equations, kept as the oracle of the Gram-prefix solve: the n x (m+1)
+/// design matrix [1, phi_1 .. phi_m] of the first m picks, solved with
+/// linalg::solve_ridge.
+RbfModel design_matrix_model(const la::Matrix& x, std::span<const double> y,
+                             const RbfFitOptions& opt, const std::vector<std::size_t>& order,
+                             std::size_t n_basis) {
+  const std::size_t n = x.rows();
+  const Scaler scaler = Scaler::fit(x);
+  const la::Matrix z = scaler.transform(x);
+  const std::size_t d = z.cols();
+  const std::size_t m = std::min(n_basis, order.size());
+  if (m == 0) {
+    const double ymean = std::accumulate(y.begin(), y.end(), 0.0) / static_cast<double>(n);
+    return RbfModel(scaler, la::Matrix(0, d), {}, ymean, opt.sigma);
+  }
+  const double inv2s2 = 1.0 / (2.0 * opt.sigma * opt.sigma);
+  la::Matrix a(n, m + 1);
+  for (std::size_t r = 0; r < n; ++r) a(r, 0) = 1.0;
+  for (std::size_t j = 0; j < m; ++j) {
+    for (std::size_t r = 0; r < n; ++r) {
+      double dist2 = 0.0;
+      for (std::size_t k = 0; k < d; ++k) {
+        const double dl = z(r, k) - z(order[j], k);
+        dist2 += dl * dl;
+      }
+      a(r, j + 1) = std::exp(-dist2 * inv2s2);
+    }
+  }
+  const auto w = la::solve_ridge(a, y, opt.ridge);
+  la::Matrix centers(m, d);
+  for (std::size_t j = 0; j < m; ++j)
+    for (std::size_t k = 0; k < d; ++k) centers(j, k) = z(order[j], k);
+  return RbfModel(scaler, std::move(centers), std::vector<double>(w.begin() + 1, w.end()),
+                  w[0], opt.sigma);
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Bitwise equality of everything a model evaluates with: scaler, sigma,
+/// bias, weights and centers.
+void expect_same_bits(const RbfModel& a, const RbfModel& b, const std::string& what) {
+  EXPECT_EQ(bits(a.sigma()), bits(b.sigma())) << what;
+  EXPECT_EQ(bits(a.bias()), bits(b.bias())) << what << ": bias " << a.bias() << " vs " << b.bias();
+  ASSERT_EQ(a.scaler().dim(), b.scaler().dim()) << what;
+  for (std::size_t k = 0; k < a.scaler().dim(); ++k) {
+    EXPECT_EQ(bits(a.scaler().mean()[k]), bits(b.scaler().mean()[k])) << what;
+    EXPECT_EQ(bits(a.scaler().scale()[k]), bits(b.scaler().scale()[k])) << what;
+  }
+  ASSERT_EQ(a.weights().size(), b.weights().size()) << what;
+  for (std::size_t j = 0; j < a.weights().size(); ++j)
+    EXPECT_EQ(bits(a.weights()[j]), bits(b.weights()[j]))
+        << what << ": weight " << j << " " << a.weights()[j] << " vs " << b.weights()[j];
+  ASSERT_EQ(a.centers().rows(), b.centers().rows()) << what;
+  ASSERT_EQ(a.centers().cols(), b.centers().cols()) << what;
+  for (std::size_t j = 0; j < a.centers().rows(); ++j)
+    for (std::size_t k = 0; k < a.centers().cols(); ++k)
+      EXPECT_EQ(bits(a.centers()(j, k)), bits(b.centers()(j, k))) << what << ": center " << j;
+}
+
+/// 3-D random regression data; 700 rows, so candidates are subsampled
+/// whenever max_candidates < 700.
+void random_dataset(la::Matrix& x, std::vector<double>& y) {
+  emc::sig::Lcg rng(11);
+  const std::size_t n = 700;
+  x = la::Matrix(n, 3);
+  y.assign(n, 0.0);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < 3; ++c) x(r, c) = 4.0 * rng.uniform() - 2.0;
+    y[r] = std::sin(x(r, 0)) * x(r, 1) + 0.3 * x(r, 2) * x(r, 2) + 0.05 * rng.uniform();
+  }
+}
+
+/// NARX dataset of i(k) = 0.8 i(k-1) + tanh(v(k)) under a multilevel v.
+Dataset narx_dataset(std::size_t len) {
+  emc::sig::Lcg rng(3);
+  std::vector<double> v(len), i(len, 0.0);
+  double level = 0.0;
+  for (std::size_t k = 0; k < v.size(); ++k) {
+    if (k % 25 == 0) level = 4.0 * rng.uniform() - 2.0;
+    v[k] = level;
+    if (k > 0) i[k] = 0.8 * i[k - 1] + std::tanh(v[k]);
+  }
+  return build_narx_dataset(emc::sig::Waveform(0.0, 1.0, v), emc::sig::Waveform(0.0, 1.0, i),
+                            NarxOrders{2, 2});
+}
+
+/// A pooled path (1 and 4 workers) must select the same centers as the
+/// serial one and give bitwise-equal models of every size.
+void expect_pool_invariant(const la::Matrix& x, std::span<const double> y,
+                           const RbfFitOptions& opt) {
+  const OlsPath serial(x, y, opt);
+  ASSERT_GT(serial.selected(), 4u);
+  for (const std::size_t workers : {1u, 4u}) {
+    emc::sweep::ThreadPool pool(workers);
+    const OlsPath pooled(x, y, opt, &pool);
+    EXPECT_EQ(pooled.order(), serial.order()) << workers << " workers";
+    for (std::size_t nb = 0; nb <= serial.selected() + 1; ++nb)
+      expect_same_bits(pooled.model(nb), serial.model(nb),
+                       std::to_string(workers) + " workers, nb " + std::to_string(nb));
+  }
 }
 
 }  // namespace
@@ -293,14 +402,9 @@ TEST(RbfModel, ConstructorValidation) {
 TEST(OlsPath, SelectionEqualsNaiveOracleOnRandomData) {
   // 3-D random inputs, subsampled candidates (n > max_candidates) and a
   // candidate count that is not a multiple of the deflation block.
-  emc::sig::Lcg rng(11);
-  const std::size_t n = 700;
-  la::Matrix x(n, 3);
-  std::vector<double> y(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t c = 0; c < 3; ++c) x(r, c) = 4.0 * rng.uniform() - 2.0;
-    y[r] = std::sin(x(r, 0)) * x(r, 1) + 0.3 * x(r, 2) * x(r, 2) + 0.05 * rng.uniform();
-  }
+  la::Matrix x;
+  std::vector<double> y;
+  random_dataset(x, y);
   RbfFitOptions opt;
   opt.max_basis = 15;
   opt.sigma = 1.2;
@@ -314,17 +418,7 @@ TEST(OlsPath, SelectionEqualsNaiveOracleOnRandomData) {
 
 TEST(OlsPath, SelectionEqualsNaiveOracleOnNarxData) {
   // Every row is a candidate; the stop threshold ends the selection early.
-  emc::sig::Lcg rng(3);
-  std::vector<double> v(600), i(600, 0.0);
-  double level = 0.0;
-  for (std::size_t k = 0; k < v.size(); ++k) {
-    if (k % 25 == 0) level = 4.0 * rng.uniform() - 2.0;
-    v[k] = level;
-    if (k > 0) i[k] = 0.8 * i[k - 1] + std::tanh(v[k]);
-  }
-  const NarxOrders ord{2, 2};
-  const auto ds = build_narx_dataset(emc::sig::Waveform(0.0, 1.0, v),
-                                     emc::sig::Waveform(0.0, 1.0, i), ord);
+  const auto ds = narx_dataset(600);
   for (const double sigma : {0.7, 1.5}) {
     RbfFitOptions opt;
     opt.max_basis = 40;
@@ -335,4 +429,105 @@ TEST(OlsPath, SelectionEqualsNaiveOracleOnNarxData) {
     EXPECT_GT(oracle.size(), 4u);
     EXPECT_EQ(path.order(), oracle) << "sigma " << sigma;
   }
+}
+
+TEST(OlsPath, PooledEqualsSerialOnRandomData) {
+  la::Matrix x;
+  std::vector<double> y;
+  random_dataset(x, y);
+  RbfFitOptions opt;
+  opt.max_basis = 15;
+  opt.sigma = 1.2;
+  opt.max_candidates = 203;  // 50 blocks of four plus a 3-column tail
+  opt.seed = 5;
+  expect_pool_invariant(x, y, opt);
+}
+
+TEST(OlsPath, PooledEqualsSerialOnNarxData) {
+  const auto ds = narx_dataset(600);
+  for (const double sigma : {0.7, 1.5}) {
+    RbfFitOptions opt;
+    opt.max_basis = 40;
+    opt.sigma = sigma;
+    opt.min_err_reduction = 1e-6;
+    expect_pool_invariant(ds.x, ds.y, opt);
+  }
+}
+
+TEST(OlsPath, GramPrefixModelEqualsDesignMatrixRidgeSolve) {
+  // model(nb) solves the leading block of the normal equations cached
+  // once per path; the oracle builds the design matrix per size and runs
+  // linalg::solve_ridge on it. Same sums in the same order: same bits.
+  la::Matrix x;
+  std::vector<double> y;
+  random_dataset(x, y);
+  RbfFitOptions opt;
+  opt.max_basis = 15;
+  opt.sigma = 1.2;
+  opt.max_candidates = 203;
+  opt.seed = 5;
+  const OlsPath path(x, y, opt);
+  ASSERT_EQ(path.selected(), 15u);
+  for (std::size_t nb = 0; nb <= path.selected() + 1; ++nb)
+    expect_same_bits(path.model(nb), design_matrix_model(x, y, opt, path.order(), nb),
+                     "random data, nb " + std::to_string(nb));
+
+  const auto ds = narx_dataset(600);
+  RbfFitOptions narx;
+  narx.max_basis = 30;
+  narx.sigma = 1.5;
+  narx.ridge = 1e-6;
+  const OlsPath npath(ds.x, ds.y, narx);
+  ASSERT_GT(npath.selected(), 4u);
+  for (std::size_t nb = 0; nb <= npath.selected(); ++nb)
+    expect_same_bits(npath.model(nb), design_matrix_model(ds.x, ds.y, narx, npath.order(), nb),
+                     "NARX data, nb " + std::to_string(nb));
+}
+
+TEST(FitRbfBest, PooledPickEqualsSerialIncludingTies) {
+  const auto ds = narx_dataset(600);
+  const NarxOrders ord{2, 2};
+  const std::vector<double> v_in = [&] {
+    std::vector<double> v(ds.x.rows());
+    for (std::size_t r = 0; r < v.size(); ++r) v[r] = ds.x(r, 0);
+    return v;
+  }();
+  RbfFitOptions base;
+  base.min_err_reduction = 1e-6;
+  const double sigma_grid[] = {0.7, 1.0, 1.5};
+  const int basis_grid[] = {6, 10, 14, 18};
+  emc::sweep::ThreadPool pool(4);
+
+  // A real score (free-run error on the identification data).
+  const auto free_run = [&](const RbfModel& m) {
+    const std::vector<double> i_init{ds.y[0], ds.y[1]};
+    const auto sim = simulate_narx(m, ord, v_in, i_init);
+    double err = 0.0;
+    for (std::size_t k = 2; k < sim.size(); ++k) err += (sim[k] - ds.y[k]) * (sim[k] - ds.y[k]);
+    return err;
+  };
+  expect_same_bits(fit_rbf_best(ds.x, ds.y, base, sigma_grid, basis_grid, free_run, &pool),
+                   fit_rbf_best(ds.x, ds.y, base, sigma_grid, basis_grid, free_run),
+                   "free-run score");
+
+  // Every candidate ties: the first grid point (smallest sigma, smallest
+  // basis count) must win, pooled or not.
+  const auto constant = [](const RbfModel&) { return 1.0; };
+  const RbfModel tied = fit_rbf_best(ds.x, ds.y, base, sigma_grid, basis_grid, constant, &pool);
+  expect_same_bits(tied, fit_rbf_best(ds.x, ds.y, base, sigma_grid, basis_grid, constant),
+                   "all tied");
+  RbfFitOptions first = base;
+  first.sigma = sigma_grid[0];
+  first.max_basis = 18;
+  expect_same_bits(tied, OlsPath(ds.x, ds.y, first).model(6), "all tied vs first candidate");
+
+  // Ties within and across sigma paths, non-finite scores skipped: the
+  // first model of >= 10 centers at the first sigma wins.
+  const auto banded = [](const RbfModel& m) {
+    return m.num_basis() < 10 ? std::numeric_limits<double>::quiet_NaN() : 2.0;
+  };
+  const RbfModel band = fit_rbf_best(ds.x, ds.y, base, sigma_grid, basis_grid, banded, &pool);
+  expect_same_bits(band, fit_rbf_best(ds.x, ds.y, base, sigma_grid, basis_grid, banded),
+                   "banded ties");
+  expect_same_bits(band, OlsPath(ds.x, ds.y, first).model(10), "banded vs first >= 10");
 }

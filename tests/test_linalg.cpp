@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "linalg/decomp.hpp"
 #include "linalg/eigen.hpp"
@@ -232,6 +234,70 @@ TEST(Ridge, ShrinksSolution) {
   const auto x1 = la::solve_ridge(a, b, 1.0);
   EXPECT_NEAR(x0[0], 1.0, 1e-12);
   EXPECT_NEAR(x1[0], 0.5, 1e-12);
+}
+
+TEST(Ridge, RowPassEqualsColumnStridedNormalEquationsBitwise) {
+  // Oracle: the column-strided normal equations (one sequential row-order
+  // sum per (i, j) pair) that solve_ridge accumulated before it made a
+  // single pass over the rows. Every entry is the same sum in the same
+  // order, so the solutions must agree bit for bit.
+  std::uint64_t s = 23;
+  const std::size_t m = 257, n = 9;
+  la::Matrix a(m, n);
+  std::vector<double> b(m);
+  for (std::size_t k = 0; k < m; ++k) {
+    for (std::size_t j = 0; j < n; ++j) a(k, j) = prand(s);
+    b[k] = prand(s);
+  }
+  const double lambda = 1e-3;
+  la::Matrix ata(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      double acc = 0.0;
+      for (std::size_t k = 0; k < m; ++k) acc += a(k, i) * a(k, j);
+      ata(i, j) = acc;
+      ata(j, i) = acc;
+    }
+    ata(i, i) += lambda;
+  }
+  std::vector<double> atb(n, 0.0);
+  for (std::size_t k = 0; k < m; ++k)
+    for (std::size_t i = 0; i < n; ++i) atb[i] += a(k, i) * b[k];
+  const auto oracle = la::Cholesky(ata).solve(atb);
+
+  const auto x = la::solve_ridge(a, b, lambda);
+  ASSERT_EQ(x.size(), n);
+  for (std::size_t i = 0; i < n; ++i)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(x[i]), std::bit_cast<std::uint64_t>(oracle[i]))
+        << "x[" << i << "] " << x[i] << " vs " << oracle[i];
+}
+
+TEST(NormalEquations, LeadingBlockEqualsPrefixColumnsBitwise) {
+  // One accumulation over all n columns serves every prefix: solving its
+  // leading k block equals solve_ridge on the first k columns, bit for bit.
+  std::uint64_t s = 41;
+  const std::size_t m = 120, n = 7;
+  la::Matrix a(m, n);
+  std::vector<double> b(m);
+  la::NormalEquations ne(n);
+  for (std::size_t k = 0; k < m; ++k) {
+    for (std::size_t j = 0; j < n; ++j) a(k, j) = prand(s);
+    b[k] = prand(s);
+    ne.add_row(a.row(k), b[k]);
+  }
+  for (std::size_t cols = 1; cols <= n; ++cols) {
+    la::Matrix prefix(m, cols);
+    for (std::size_t k = 0; k < m; ++k)
+      for (std::size_t j = 0; j < cols; ++j) prefix(k, j) = a(k, j);
+    const auto want = la::solve_ridge(prefix, b, 1e-6);
+    const auto got = ne.solve_ridge(cols, 1e-6);
+    ASSERT_EQ(got.size(), cols);
+    for (std::size_t j = 0; j < cols; ++j)
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[j]), std::bit_cast<std::uint64_t>(want[j]))
+          << cols << " columns, x[" << j << "]";
+  }
+  EXPECT_THROW(ne.solve_ridge(n + 1, 0.0), std::invalid_argument);
+  EXPECT_THROW(ne.add_row(std::vector<double>(n - 1), 0.0), std::invalid_argument);
 }
 
 TEST(Eigen, DiagonalMatrix) {

@@ -292,7 +292,7 @@ TEST(ThreadPool, ConcurrentThrowsAreCountedNotLost) {
 
 spec::ComplianceReport report_with_margin(double margin_db, bool covered = true) {
   spec::ComplianceReport r;
-  r.mask_name = "m";
+  r.mask_name = std::string("m");  // not `= "m"`: GCC 12 -Wrestrict false positive
   if (covered) {
     r.points.push_back({1e6, 50.0 - margin_db, 50.0, margin_db});
     r.worst_margin_db = margin_db;
