@@ -3,17 +3,26 @@
 // with the reference model, the parametric model (eq. 2) and the C-R
 // baseline. Paper result: the parametric model overlays the reference,
 // the C-R model only roughly approximates it.
+//
+//   bench_fig5 [--check-baseline PATH]   (writes BENCH_fig5.json and
+//   bench_out/fig5.csv)
+#include <chrono>
 #include <cstdio>
 
+#include "baseline.hpp"
 #include "core/validation.hpp"
 #include "experiments.hpp"
+#include "json_out.hpp"
 #include "signal/csv.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace emc;
+  const auto bargs = bench::extract_baseline_args(argc, argv);
   std::printf("=== Figure 5: MD4 input current, direct drive ===\n");
   std::printf("estimating MD4 parametric and C-R models...\n");
+  const auto t0 = std::chrono::steady_clock::now();
   const auto curves = exp::run_fig5();
+  const double wall = bench::seconds_since(t0);
 
   sig::write_csv("bench_out/fig5.csv", {"reference", "parametric", "cr"},
                  {curves.i_reference, curves.i_parametric, curves.i_cr});
@@ -38,5 +47,14 @@ int main() {
   std::printf("\npaper shape check: parametric rms << C-R rms  -> ratio %.1fx\n",
               rep_cr.rms_error / rep_par.rms_error);
   std::printf("series written to bench_out/fig5.csv\n");
-  return 0;
+
+  auto doc = bench::make_bench_doc("bench_fig5");
+  doc.at("scenarios").push(bench::scenario_row("run_fig5", wall));
+  auto models = bench::Json::array();
+  models.push(bench::accuracy_row("parametric", rep_par));
+  models.push(bench::accuracy_row("cr", rep_cr));
+  doc.set("models", std::move(models));
+  doc.set("cr_over_parametric_rms", bench::Json::number(rep_cr.rms_error / rep_par.rms_error));
+  if (doc.write_file("BENCH_fig5.json")) std::printf("wrote BENCH_fig5.json\n");
+  return bench::check_baseline_gate(doc, bargs) ? 0 : 1;
 }

@@ -114,7 +114,7 @@ void BM_OlsFit(benchmark::State& state) {
   ident::RbfFitOptions opt;
   opt.max_basis = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    auto m = ident::fit_rbf_ols(x, y, opt);
+    auto m = ident::OlsPath(x, y, opt).model(static_cast<std::size_t>(opt.max_basis));
     benchmark::DoNotOptimize(m);
   }
 }

@@ -185,6 +185,11 @@ int main(int argc, char** argv) {
               "%zu recovered, deterministic across 1/%zu workers: %s\n",
               recorded, grid.size(), fault_n.summary.solver_failed,
               fault_n.summary.recovered, jobs, gate_a ? "PASS" : "FAIL");
+  // Ladder attempts of the five faulted transients (one per group): the
+  // rung each fault heals at, or every rung for the permanent ones.
+  long faulted_attempts = 0;
+  for (std::size_t g = 0; g < 5; ++g) faulted_attempts += fault_n.results[g * group].solve_attempts;
+  std::printf("faulted groups: %ld transient attempts\n", faulted_attempts);
 
   // ---------------------------------------------------------------- gate B
   // No faults armed: the retry-enabled sweep must match the retry-disabled
@@ -255,6 +260,7 @@ int main(int argc, char** argv) {
           bench::Json::integer(static_cast<long>(fault_n.summary.solver_failed)));
   doc.set("recovered_corners",
           bench::Json::integer(static_cast<long>(fault_n.summary.recovered)));
+  doc.set("faulted_transient_attempts", bench::Json::integer(faulted_attempts));
   doc.set("journaled_at_abort",
           bench::Json::integer(static_cast<long>(journaled_at_abort)));
   doc.set("clean_sweep_wall_s", bench::Json::number(wall_clean));

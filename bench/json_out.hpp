@@ -17,6 +17,7 @@
 #include <chrono>
 #include <string>
 
+#include "core/validation.hpp"
 #include "obs/json.hpp"
 #include "obs/report.hpp"
 
@@ -48,6 +49,19 @@ inline Json scenario_row(const std::string& name, double wall_s, long newton_ite
   row.set("name", Json::string(name));
   row.set("wall_s", Json::number(wall_s));
   row.set("newton_iters", Json::integer(newton_iters));
+  return row;
+}
+
+/// Accuracy row of a model waveform against its reference (the paper
+/// figures' table): core::validate_waveform's rms and max error in the
+/// waveform's unit, and its threshold-timing error in ps (null when no
+/// crossing was measured).
+inline Json accuracy_row(const std::string& name, const core::ValidationReport& r) {
+  Json row = Json::object();
+  row.set("name", Json::string(name));
+  row.set("rms", Json::number(r.rms_error));
+  row.set("max", Json::number(r.max_error));
+  row.set("timing_ps", r.timing_error ? Json::number(*r.timing_error * 1e12) : Json::null());
   return row;
 }
 

@@ -17,7 +17,6 @@ robust::FaultCtx fault_ctx(const TransientOptions& opt) {
   robust::FaultCtx ctx;
   ctx.key = opt.context;
   ctx.pivot = opt.partial_pivot;
-  ctx.dt = opt.dt;
   ctx.gmin = opt.gmin;
   ctx.dx_limit = opt.dx_limit;
   return ctx;

@@ -47,11 +47,9 @@ double free_run_error(const ident::RbfModel& m, ident::NarxOrders ord,
 /// `pool` runs each path's selection and scoring (see fit_rbf_best); the
 /// fitted model does not depend on it.
 ident::RbfModel fit_submodel(const PortRecord& train, const PortRecord& val, int order,
-                             int max_basis, const ident::RbfFitOptions& base,
-                             sweep::ThreadPool& pool) {
+                             int max_basis, sweep::ThreadPool& pool) {
   ident::NarxOrders ord{order, order};
   const auto ds = ident::build_narx_dataset(train.v, train.i, ord);
-  ident::RbfFitOptions o = base;
 
   const double sigma_grid[] = {1.0, 1.5, 2.2, 3.2};
   std::vector<int> basis_grid;
@@ -59,7 +57,7 @@ ident::RbfModel fit_submodel(const PortRecord& train, const PortRecord& val, int
   if (basis_grid.empty() || basis_grid.back() != max_basis)
     basis_grid.push_back(max_basis);
 
-  return ident::fit_rbf_best(ds.x, ds.y, o, sigma_grid, basis_grid,
+  return ident::fit_rbf_best(ds.x, ds.y, ident::RbfFitOptions{}, sigma_grid, basis_grid,
                              [&](const ident::RbfModel& m) {
                                // Must free-run on both records: stability on
                                // the training record is part of the score.
@@ -204,8 +202,8 @@ PwRbfDriverModel estimate_driver_model(const DriverDut& dut,
   // n x candidates selection matrix, the bulk of estimation's memory, so
   // the parallelism goes inside a path rather than across paths.
   sweep::ThreadPool pool(sweep::ThreadPool::default_workers());
-  model.f_high = fit_submodel(rec_h, val_h, opt.order, opt.max_basis_high, opt.rbf, pool);
-  model.f_low = fit_submodel(rec_l, val_l, opt.order, opt.max_basis_low, opt.rbf, pool);
+  model.f_high = fit_submodel(rec_h, val_h, opt.order, opt.max_basis_high, pool);
+  model.f_low = fit_submodel(rec_l, val_l, opt.order, opt.max_basis_low, pool);
 
   // --- 2. Switching weights ----------------------------------------------
   // One bit of pre-roll so the DC point is settled, then the edge.

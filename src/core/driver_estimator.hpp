@@ -43,7 +43,6 @@ struct DriverEstimationOptions {
   double w_settle_tol = 0.04; ///< settling detection band on the weights
   double w_ridge = 1e-4;      ///< relative Tikhonov factor of the 2x2 solves
   std::uint64_t seed = 2026;  ///< multilevel signal seed
-  ident::RbfFitOptions rbf;   ///< kernel/OLS settings (sigma is auto-tuned)
 };
 
 /// Run the full estimation flow against a DUT. Throws std::runtime_error

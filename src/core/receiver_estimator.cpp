@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 
 namespace emc::core {
@@ -48,9 +49,28 @@ ParametricReceiverModel estimate_receiver_model(const ReceiverDut& dut,
       for (std::size_t j = 0; j < taps; ++j) x(r, j) = rec.v[k - j];
       y[r] = resid[k];
     }
-    ident::RbfFitOptions o = opt.rbf;
+    // Pick sigma on the first 3/4 of the rows by the squared error on the
+    // rest, then refit every row at the winner. The regressors carry no
+    // current feedback, so this held-out error is already the free-run one.
+    ident::RbfFitOptions o;
     o.max_basis = opt.max_basis_clamp;
-    return ident::fit_rbf_auto(x, y, o);
+    const std::size_t n_train = std::max<std::size_t>(n_rows * 3 / 4, 1);
+    linalg::Matrix x_train(n_train, taps);
+    std::copy_n(x.data(), n_train * taps, x_train.data());
+    const auto held_out_sse = [&](const ident::RbfModel& cand) {
+      double sse = 0.0;
+      for (std::size_t r = n_train; r < n_rows; ++r) {
+        const double e = cand.eval(x.row(r)) - y[r];
+        sse += e * e;
+      }
+      return sse;
+    };
+    const double sigma_grid[] = {0.7, 1.0, 1.5, 2.2, 3.2};
+    const int basis_grid[] = {opt.max_basis_clamp};
+    o.sigma = ident::fit_rbf_best(x_train, std::span<const double>(y).first(n_train), o,
+                                  sigma_grid, basis_grid, held_out_sse)
+                  .sigma();
+    return ident::OlsPath(x, y, o).model(static_cast<std::size_t>(opt.max_basis_clamp));
   };
 
   m.up = fit_clamp(dut.vdd() - 0.15, dut.vdd() + opt.v_beyond, opt.seed + 11);

@@ -1,7 +1,9 @@
 // Estimation of the receiver macromodel (paper Section 3):
 //  * linear ARX submodel from small steps inside the supply range,
 //  * up / down clamp RBF submodels from multilevel records beyond each
-//    rail, fitted on the residual after subtracting the linear part,
+//    rail, fitted on the residual after subtracting the linear part; the
+//    kernel width is selected through ident::fit_rbf_best, scored on the
+//    held-out last quarter of each record,
 //  * and the baseline C-R model (capacitance from the linear record,
 //    static resistor from a DC sweep).
 #pragma once
@@ -27,7 +29,6 @@ struct ReceiverEstimationOptions {
   double t_hold = 1.0e-9;
   double t_edge = 0.1e-9;
   std::uint64_t seed = 515;
-  ident::RbfFitOptions rbf;
 };
 
 /// Full parametric model estimation.

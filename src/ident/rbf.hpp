@@ -68,14 +68,12 @@ struct RbfFitOptions {
   std::uint64_t seed = 1;    ///< candidate subsampling seed
 };
 
-/// Fit with fixed kernel width.
-RbfModel fit_rbf_ols(const linalg::Matrix& x, std::span<const double> y,
-                     const RbfFitOptions& opt);
-
-/// The OLS greedy selection is nested: the first j selected centers of a
-/// larger fit are exactly the j-basis fit. OlsPath captures one selection
-/// run so models of several sizes can be re-solved cheaply — used for
-/// free-run-scored model-order selection by the macromodel estimators.
+/// One OLS center selection at a fixed kernel width. The greedy selection
+/// is nested: the first j selected centers of a larger fit are exactly the
+/// j-basis fit, so one path re-solves models of several sizes cheaply.
+/// model(opt.max_basis) is the plain fixed-width fit; fit_rbf_best runs
+/// one path per kernel width to select (sigma, basis count) for both
+/// macromodel estimators.
 ///
 /// Once the selection ends, the candidate columns are dropped and one pass
 /// over the rows accumulates the linalg::NormalEquations of the bias plus
@@ -115,7 +113,8 @@ class OlsPath {
 };
 
 /// Grid search over (sigma, basis count), scoring each candidate model
-/// with `score` (lower is better, e.g. free-run validation error). The
+/// with `score` (lower is better, e.g. free-run validation error); throws
+/// std::runtime_error when every candidate scores non-finite. The
 /// sigma paths are built one at a time (each holds the n x candidates
 /// selection matrix while it runs). With a pool, each path's selection is
 /// candidate-parallel (see OlsPath) and its basis-count models are built
@@ -128,11 +127,6 @@ RbfModel fit_rbf_best(const linalg::Matrix& x, std::span<const double> y,
                       std::span<const int> basis_grid,
                       const std::function<double(const RbfModel&)>& score,
                       sweep::ThreadPool* pool = nullptr);
-
-/// Fit trying several kernel widths, keeping the best one-step-ahead
-/// validation error on the last quarter of the data.
-RbfModel fit_rbf_auto(const linalg::Matrix& x, std::span<const double> y, RbfFitOptions opt,
-                      std::span<const double> sigma_grid = {});
 
 /// Free-run (simulation-mode) NARX response: feeds model predictions back
 /// into the current taps. `v` is the full input sequence, `i_init` holds

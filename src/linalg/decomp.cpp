@@ -119,53 +119,6 @@ std::vector<double> Cholesky::solve(std::span<const double> b) const {
   return y;
 }
 
-std::vector<double> solve_least_squares(const Matrix& a, std::span<const double> b) {
-  const std::size_t m = a.rows();
-  const std::size_t n = a.cols();
-  if (b.size() != m) throw std::invalid_argument("solve_least_squares: size mismatch");
-  if (m < n) throw std::invalid_argument("solve_least_squares: underdetermined system");
-
-  Matrix r = a;  // working copy, becomes R in the upper triangle
-  std::vector<double> rhs(b.begin(), b.end());
-
-  // Householder QR, applying reflectors to the right-hand side on the fly.
-  for (std::size_t k = 0; k < n; ++k) {
-    double alpha = 0.0;
-    for (std::size_t i = k; i < m; ++i) alpha += r(i, k) * r(i, k);
-    alpha = std::sqrt(alpha);
-    if (alpha < 1e-300) throw std::runtime_error("solve_least_squares: rank deficient");
-    if (r(k, k) > 0) alpha = -alpha;
-
-    std::vector<double> v(m - k);
-    v[0] = r(k, k) - alpha;
-    for (std::size_t i = k + 1; i < m; ++i) v[i - k] = r(i, k);
-    const double vnorm2 = dot(v, v);
-    if (vnorm2 < 1e-300) continue;
-
-    // Apply H = I - 2 v v^T / (v^T v) to the remaining columns and rhs.
-    for (std::size_t j = k; j < n; ++j) {
-      double proj = 0.0;
-      for (std::size_t i = k; i < m; ++i) proj += v[i - k] * r(i, j);
-      const double s = 2.0 * proj / vnorm2;
-      for (std::size_t i = k; i < m; ++i) r(i, j) -= s * v[i - k];
-    }
-    double proj = 0.0;
-    for (std::size_t i = k; i < m; ++i) proj += v[i - k] * rhs[i];
-    const double s = 2.0 * proj / vnorm2;
-    for (std::size_t i = k; i < m; ++i) rhs[i] -= s * v[i - k];
-  }
-
-  std::vector<double> x(n);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double acc = rhs[ii];
-    for (std::size_t j = ii + 1; j < n; ++j) acc -= r(ii, j) * x[j];
-    if (std::abs(r(ii, ii)) < 1e-300)
-      throw std::runtime_error("solve_least_squares: rank deficient");
-    x[ii] = acc / r(ii, ii);
-  }
-  return x;
-}
-
 void NormalEquations::add_row(std::span<const double> row, double b) {
   const std::size_t n = atb_.size();
   if (row.size() != n) throw std::invalid_argument("NormalEquations: row size mismatch");

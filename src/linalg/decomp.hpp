@@ -1,7 +1,7 @@
 // Matrix factorizations: LU with partial pivoting (the MNA workhorse),
 // Cholesky (SPD systems, modal decomposition of line capacitance), and
-// Householder QR for overdetermined least-squares problems used by the
-// ARX / RBF estimators.
+// the ridge-regularized normal equations that solve the least-squares
+// problems of the ARX / RBF estimators.
 #pragma once
 
 #include <span>
@@ -72,10 +72,6 @@ class Cholesky {
  private:
   Matrix l_;
 };
-
-/// Least-squares solution of min ||A x - b||_2 via Householder QR
-/// (requires rows >= cols). Throws std::runtime_error on rank deficiency.
-std::vector<double> solve_least_squares(const Matrix& a, std::span<const double> b);
 
 /// Normal equations A^T A and A^T b of a least-squares problem,
 /// accumulated one row of A at a time. Every entry is its own sequential

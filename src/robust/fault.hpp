@@ -43,7 +43,6 @@ const char* fault_site_name(FaultSite site);
 struct FaultCtx {
   std::string_view key;  ///< TransientOptions::context
   bool pivot = false;    ///< TransientOptions::partial_pivot of the attempt
-  double dt = 0.0;
   double gmin = 0.0;
   double dx_limit = 0.0;
 };
@@ -59,8 +58,10 @@ struct FaultSpec {
 
   // Escalation-aware sparing: the fault heals once a retry attempt clears
   // the bar (checked statelessly per probe, so healing is deterministic).
+  // Against base options (gmin, dx) each bar heals at one ladder rung:
+  // spare_pivot at "pivot", spare_gmin_at_least in (gmin, 1e-9] at
+  // "gmin", and spare_dx_limit_below in (dx/4, dx] at "damp".
   bool spare_pivot = false;          ///< don't fire when pivot is set
-  double spare_dt_below = 0.0;       ///< don't fire when dt < this
   double spare_gmin_at_least = 0.0;  ///< don't fire when gmin >= this
   double spare_dx_limit_below = 0.0; ///< don't fire when dx_limit < this
 };

@@ -46,16 +46,6 @@ ckt::TransientOptions emission_base_options(const EmissionSweepConfig& cfg,
   return opt;
 }
 
-/// cfg.retry with dt refinement forced off: the emission transient's
-/// engine step is pinned to the macromodel's sampling time Ts
-/// (DriverDevice rejects any other dt), so the ladder's "dt/2" stage must
-/// degrade to a plain re-attempt at the base step.
-robust::RetryPolicy emission_retry_policy(const EmissionSweepConfig& cfg) {
-  robust::RetryPolicy p = cfg.retry;
-  p.refine_dt = false;
-  return p;
-}
-
 std::unique_ptr<CornerCircuit> build_emission_circuit(const EmissionSweepConfig& cfg,
                                                       const Scenario& sc) {
   obs::Span span("circuit_build");
@@ -534,7 +524,7 @@ CornerFn make_emission_corner_fn(const EmissionSweepConfig& cfg) {
       // sweeps stay deterministic for any worker count. The body rebuilds
       // everything per attempt — a failed attempt leaves nothing behind.
       const robust::RetryOutcome ro = robust::run_with_escalation(
-          emission_retry_policy(cfg), emission_base_options(cfg, sc),
+          cfg.retry, emission_base_options(cfg, sc),
           [&](const ckt::TransientOptions& opt) {
             // Per-corner circuit: everything mutable lives here; the
             // macromodel is shared const across workers.

@@ -432,9 +432,8 @@ struct EmissionSweepConfig {
   /// robust::RetryPolicy). The default retries; retry.enabled = false is
   /// the pre-robustness single-attempt path, byte-identical when nothing
   /// fails. The ladder schedule is a pure function of the corner, so
-  /// retried sweeps stay deterministic for any worker count. refine_dt is
-  /// forced off internally: the engine step is pinned to the macromodel's
-  /// sampling time Ts, so the "dt/2" stage runs as a plain re-attempt.
+  /// retried sweeps stay deterministic for any worker count. No rung
+  /// changes dt, which stays pinned to the macromodel's sampling time Ts.
   robust::RetryPolicy retry;
 
   /// How each corner lays out its receiver scan: kFixed runs the classic

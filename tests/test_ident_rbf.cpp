@@ -281,7 +281,7 @@ TEST(RbfFit, RecoversStaticNonlinearity) {
   RbfFitOptions opt;
   opt.max_basis = 12;
   opt.sigma = 0.5;
-  const RbfModel m = fit_rbf_ols(column(xs), ys, opt);
+  const RbfModel m = OlsPath(column(xs), ys, opt).model(static_cast<std::size_t>(opt.max_basis));
   EXPECT_LE(m.num_basis(), 12u);
   double worst = 0.0;
   for (std::size_t k = 0; k < xs.size(); ++k) {
@@ -295,7 +295,7 @@ TEST(RbfFit, ConstantDataGivesConstantModel) {
   std::vector<double> xs(50), ys(50, 3.25);
   for (std::size_t k = 0; k < xs.size(); ++k) xs[k] = static_cast<double>(k);
   RbfFitOptions opt;
-  const RbfModel m = fit_rbf_ols(column(xs), ys, opt);
+  const RbfModel m = OlsPath(column(xs), ys, opt).model(static_cast<std::size_t>(opt.max_basis));
   EXPECT_NEAR(m.eval(std::vector<double>{25.0}), 3.25, 1e-9);
 }
 
@@ -308,7 +308,7 @@ TEST(RbfFit, GradientMatchesFiniteDifference) {
   }
   RbfFitOptions opt;
   opt.max_basis = 15;
-  const RbfModel m = fit_rbf_ols(column(xs), ys, opt);
+  const RbfModel m = OlsPath(column(xs), ys, opt).model(static_cast<std::size_t>(opt.max_basis));
 
   for (double v : {-0.8, -0.3, 0.0, 0.4, 0.9}) {
     double grad = 0.0;
@@ -318,26 +318,6 @@ TEST(RbfFit, GradientMatchesFiniteDifference) {
                       (2.0 * h);
     EXPECT_NEAR(grad, fd, 1e-4 * std::max(1.0, std::abs(fd))) << "v = " << v;
   }
-}
-
-TEST(RbfFit, AutoSigmaNotWorseThanFixed) {
-  std::vector<double> xs, ys;
-  for (int k = 0; k <= 300; ++k) {
-    const double v = -2.0 + 4.0 * k / 300.0;
-    xs.push_back(v);
-    ys.push_back(bump(v) + 0.2 * std::sin(6.0 * v));
-  }
-  RbfFitOptions opt;
-  opt.max_basis = 14;
-  const RbfModel fixed = fit_rbf_ols(column(xs), ys, opt);
-  const RbfModel autom = fit_rbf_auto(column(xs), ys, opt);
-
-  double err_fixed = 0.0, err_auto = 0.0;
-  for (std::size_t k = 0; k < xs.size(); ++k) {
-    err_fixed += std::pow(fixed.eval(std::vector<double>{xs[k]}) - ys[k], 2);
-    err_auto += std::pow(autom.eval(std::vector<double>{xs[k]}) - ys[k], 2);
-  }
-  EXPECT_LE(err_auto, err_fixed * 1.5);
 }
 
 TEST(RbfFit, DynamicNarxSystemFreeRun) {
@@ -358,7 +338,7 @@ TEST(RbfFit, DynamicNarxSystemFreeRun) {
   RbfFitOptions opt;
   opt.max_basis = 16;
   opt.sigma = 1.0;
-  const RbfModel m = fit_rbf_ols(ds.x, ds.y, opt);
+  const RbfModel m = OlsPath(ds.x, ds.y, opt).model(static_cast<std::size_t>(opt.max_basis));
 
   // Fresh validation sequence.
   std::vector<double> v2(400), i2(400, 0.0);
@@ -380,16 +360,16 @@ TEST(RbfFit, DynamicNarxSystemFreeRun) {
 TEST(RbfFit, InputValidation) {
   la::Matrix x(0, 1);
   std::vector<double> y;
-  EXPECT_THROW(fit_rbf_ols(x, y, RbfFitOptions{}), std::invalid_argument);
+  EXPECT_THROW(OlsPath(x, y, RbfFitOptions{}), std::invalid_argument);
 
   la::Matrix x2(3, 1);
   std::vector<double> y2(2);
-  EXPECT_THROW(fit_rbf_ols(x2, y2, RbfFitOptions{}), std::invalid_argument);
+  EXPECT_THROW(OlsPath(x2, y2, RbfFitOptions{}), std::invalid_argument);
 
   RbfFitOptions bad;
   bad.max_basis = 0;
   std::vector<double> y3(3);
-  EXPECT_THROW(fit_rbf_ols(x2, y3, bad), std::invalid_argument);
+  EXPECT_THROW(OlsPath(x2, y3, bad), std::invalid_argument);
 }
 
 TEST(RbfModel, ConstructorValidation) {

@@ -186,7 +186,7 @@ TEST(Cholesky, FactorReproducesMatrix) {
 TEST(LeastSquares, ExactFitWhenSquare) {
   la::Matrix a{{1.0, 1.0}, {1.0, 2.0}};
   std::vector<double> b{3.0, 5.0};
-  const auto x = la::solve_least_squares(a, b);
+  const auto x = la::solve_ridge(a, b, 0.0);
   EXPECT_NEAR(x[0], 1.0, 1e-10);
   EXPECT_NEAR(x[1], 2.0, 1e-10);
 }
@@ -202,29 +202,9 @@ TEST(LeastSquares, OverdeterminedLineFit) {
     a(k, 1) = t;
     b[k] = 2.0 + 3.0 * t;
   }
-  const auto x = la::solve_least_squares(a, b);
+  const auto x = la::solve_ridge(a, b, 0.0);
   EXPECT_NEAR(x[0], 2.0, 1e-10);
   EXPECT_NEAR(x[1], 3.0, 1e-10);
-}
-
-TEST(LeastSquares, MatchesNormalEquations) {
-  std::uint64_t s = 7;
-  const std::size_t m = 30, n = 4;
-  la::Matrix a(m, n);
-  std::vector<double> b(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) a(i, j) = prand(s);
-    b[i] = prand(s);
-  }
-  const auto x_qr = la::solve_least_squares(a, b);
-  const auto x_ridge = la::solve_ridge(a, b, 0.0);
-  for (std::size_t j = 0; j < n; ++j) EXPECT_NEAR(x_qr[j], x_ridge[j], 1e-8);
-}
-
-TEST(LeastSquares, UnderdeterminedThrows) {
-  la::Matrix a(2, 3);
-  std::vector<double> b(2);
-  EXPECT_THROW(la::solve_least_squares(a, b), std::invalid_argument);
 }
 
 TEST(Ridge, ShrinksSolution) {

@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "circuit/devices_linear.hpp"
 #include "circuit/engine.hpp"
@@ -44,6 +51,91 @@ class ReceiverModelTest : public ::testing::Test {
   static core::CrReceiverModel* cr_;
 };
 
+namespace {
+
+/// The clamp-fit dataset of core::estimate_receiver_model, rebuilt from
+/// the same multilevel record: FIR voltage taps against the residual the
+/// linear submodel leaves.
+struct ClampData {
+  linalg::Matrix x;
+  std::vector<double> y;
+};
+
+ClampData clamp_dataset(const core::ReceiverDut& dut, const ident::ArxModel& lin,
+                        double v_min, double v_max, std::uint64_t seed,
+                        const core::ReceiverEstimationOptions& opt) {
+  const auto sig = sig::multilevel_signal(v_min, v_max, opt.n_levels, opt.n_steps,
+                                          opt.t_hold, opt.t_edge, seed);
+  const double t_stop = (opt.t_hold + opt.t_edge) * (opt.n_steps + 2);
+  const auto rec = dut.forced_response(sig, opt.rs, opt.ts, t_stop);
+  const auto i_lin = ident::simulate_arx(lin, rec.v.samples());
+  const auto taps = static_cast<std::size_t>(opt.nl_taps);
+  const std::size_t n_rows = rec.v.size() - taps;
+  ClampData d{linalg::Matrix(n_rows, taps), std::vector<double>(n_rows)};
+  for (std::size_t r = 0; r < n_rows; ++r) {
+    const std::size_t k = r + taps - 1;
+    for (std::size_t j = 0; j < taps; ++j) d.x(r, j) = rec.v[k - j];
+    d.y[r] = rec.i[k] - i_lin[k];
+  }
+  return d;
+}
+
+/// The receiver's former sigma selection, kept as the oracle of the clamp
+/// fits: per sigma an OLS fit on the first 3/4 of the rows, scored by the
+/// one-step squared error on the rest; the first strict minimum wins and
+/// is refitted on every row.
+ident::RbfModel one_step_sigma_oracle(const linalg::Matrix& x, std::span<const double> y,
+                                      int max_basis) {
+  const std::size_t n = x.rows();
+  const std::size_t n_train = std::max<std::size_t>(n * 3 / 4, 1);
+  linalg::Matrix x_train(n_train, x.cols());
+  for (std::size_t r = 0; r < n_train; ++r)
+    for (std::size_t c = 0; c < x.cols(); ++c) x_train(r, c) = x(r, c);
+  ident::RbfFitOptions o;
+  o.max_basis = max_basis;
+  double best_err = std::numeric_limits<double>::infinity();
+  double best_sigma = 0.7;
+  for (double s : {0.7, 1.0, 1.5, 2.2, 3.2}) {
+    o.sigma = s;
+    const auto m = ident::OlsPath(x_train, y.first(n_train), o)
+                       .model(static_cast<std::size_t>(max_basis));
+    double err = 0.0;
+    for (std::size_t r = n_train; r < n; ++r) {
+      const double e = m.eval(x.row(r)) - y[r];
+      err += e * e;
+    }
+    if (err < best_err) {
+      best_err = err;
+      best_sigma = s;
+    }
+  }
+  o.sigma = best_sigma;
+  return ident::OlsPath(x, y, o).model(static_cast<std::size_t>(max_basis));
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_same_bits(const ident::RbfModel& a, const ident::RbfModel& b,
+                      const std::string& what) {
+  EXPECT_EQ(bits(a.sigma()), bits(b.sigma())) << what << ": sigma " << a.sigma();
+  EXPECT_EQ(bits(a.bias()), bits(b.bias())) << what;
+  ASSERT_EQ(a.scaler().dim(), b.scaler().dim()) << what;
+  for (std::size_t k = 0; k < a.scaler().dim(); ++k) {
+    EXPECT_EQ(bits(a.scaler().mean()[k]), bits(b.scaler().mean()[k])) << what;
+    EXPECT_EQ(bits(a.scaler().scale()[k]), bits(b.scaler().scale()[k])) << what;
+  }
+  ASSERT_EQ(a.weights().size(), b.weights().size()) << what;
+  for (std::size_t j = 0; j < a.weights().size(); ++j)
+    EXPECT_EQ(bits(a.weights()[j]), bits(b.weights()[j])) << what << ": weight " << j;
+  ASSERT_EQ(a.centers().rows(), b.centers().rows()) << what;
+  ASSERT_EQ(a.centers().cols(), b.centers().cols()) << what;
+  for (std::size_t j = 0; j < a.centers().rows(); ++j)
+    for (std::size_t k = 0; k < a.centers().cols(); ++k)
+      EXPECT_EQ(bits(a.centers()(j, k)), bits(b.centers()(j, k))) << what << ": center " << j;
+}
+
+}  // namespace
+
 dev::ReceiverTech* ReceiverModelTest::tech_ = nullptr;
 core::CircuitReceiverDut* ReceiverModelTest::dut_ = nullptr;
 core::ParametricReceiverModel* ReceiverModelTest::model_ = nullptr;
@@ -70,6 +162,19 @@ TEST_F(ReceiverModelTest, NonlinearRegionParametricStaysAccurate) {
     const auto rep = core::validate_waveform("par", rec.i, i_par, 0.02);
     EXPECT_LT(rep.rel_rms, 0.10) << "amp = " << amp;
   }
+}
+
+TEST_F(ReceiverModelTest, ClampFitsMatchOneStepSigmaOracleBitwise) {
+  // The clamps select sigma through ident::fit_rbf_best; with voltage-only
+  // regressors that must reproduce the one-step held-out selection bit
+  // for bit.
+  const core::ReceiverEstimationOptions opt;
+  const double vdd = dut_->vdd();
+  const auto up = clamp_dataset(*dut_, model_->lin, vdd - 0.15, vdd + opt.v_beyond,
+                                opt.seed + 11, opt);
+  const auto dn = clamp_dataset(*dut_, model_->lin, -opt.v_beyond, 0.15, opt.seed + 22, opt);
+  expect_same_bits(model_->up, one_step_sigma_oracle(up.x, up.y, opt.max_basis_clamp), "up");
+  expect_same_bits(model_->dn, one_step_sigma_oracle(dn.x, dn.y, opt.max_basis_clamp), "dn");
 }
 
 TEST_F(ReceiverModelTest, LinearSubmodelIsNearlyLossless) {

@@ -92,12 +92,11 @@ TEST(Deadline, DefaultUnarmedNeverExpires) {
 
 // -------------------------------------------------------------- FaultPlan
 
-robust::FaultCtx ctx_with(std::string_view key, double dt = 25e-12,
-                          double gmin = 1e-12, double dx = 0.5, bool pivot = false) {
+robust::FaultCtx ctx_with(std::string_view key, double gmin = 1e-12, double dx = 0.5,
+                          bool pivot = false) {
   robust::FaultCtx c;
   c.key = key;
   c.pivot = pivot;
-  c.dt = dt;
   c.gmin = gmin;
   c.dx_limit = dx;
   return c;
@@ -141,7 +140,6 @@ TEST(FaultPlan, SpareThresholdsHealStatelesslyWithoutConsumingBudget) {
   spec.site = robust::FaultSite::kTransientStep;
   spec.remaining = 1;
   spec.spare_pivot = true;
-  spec.spare_dt_below = 20e-12;
   spec.spare_gmin_at_least = 1e-9;
   spec.spare_dx_limit_below = 0.2;
   plan.arm(spec);
@@ -149,13 +147,11 @@ TEST(FaultPlan, SpareThresholdsHealStatelesslyWithoutConsumingBudget) {
   // Every spared probe leaves the budget untouched — healing must be a
   // stateless function of the attempt options, not of probe order.
   EXPECT_FALSE(plan.fire(robust::FaultSite::kTransientStep,
-                         ctx_with("k", 25e-12, 1e-12, 0.5, /*pivot=*/true)));
+                         ctx_with("k", 1e-12, 0.5, /*pivot=*/true)));
   EXPECT_FALSE(plan.fire(robust::FaultSite::kTransientStep,
-                         ctx_with("k", 12.5e-12, 1e-12, 0.5)));  // dt below bar
+                         ctx_with("k", 1e-9, 0.5)));  // gmin at bar
   EXPECT_FALSE(plan.fire(robust::FaultSite::kTransientStep,
-                         ctx_with("k", 25e-12, 1e-9, 0.5)));  // gmin at bar
-  EXPECT_FALSE(plan.fire(robust::FaultSite::kTransientStep,
-                         ctx_with("k", 25e-12, 1e-12, 0.125)));  // damped past bar
+                         ctx_with("k", 1e-12, 0.125)));  // damped past bar
   EXPECT_EQ(plan.fired(), 0);
   // An unspared probe still fires.
   EXPECT_TRUE(plan.fire(robust::FaultSite::kTransientStep, ctx_with("k")));
@@ -187,28 +183,36 @@ TEST(RetryLadder, EscalationScheduleIsCumulative) {
   base.max_newton = 100;
 
   const auto a0 = robust::escalate(base, 0);
-  EXPECT_EQ(a0.dt, base.dt);
   EXPECT_FALSE(a0.partial_pivot);
+  EXPECT_EQ(a0.gmin, base.gmin);
 
   const auto a1 = robust::escalate(base, 1);
-  EXPECT_EQ(a1.dt, base.dt * 0.5);
-  EXPECT_FALSE(a1.partial_pivot);
+  EXPECT_TRUE(a1.partial_pivot);
+  EXPECT_EQ(a1.gmin, base.gmin);
+  EXPECT_EQ(a1.max_newton, 100);
 
   const auto a2 = robust::escalate(base, 2);
-  EXPECT_EQ(a2.dt, base.dt * 0.5);
   EXPECT_TRUE(a2.partial_pivot);
+  EXPECT_GE(a2.gmin, 1e-9);
+  EXPECT_EQ(a2.max_newton, 200);
+  EXPECT_EQ(a2.dx_limit, base.dx_limit);
 
   const auto a3 = robust::escalate(base, 3);
+  EXPECT_TRUE(a3.partial_pivot);
   EXPECT_GE(a3.gmin, 1e-9);
-  EXPECT_EQ(a3.max_newton, 200);
+  EXPECT_EQ(a3.dx_limit, 0.125);
+  EXPECT_EQ(a3.max_newton, 400);
 
-  const auto a4 = robust::escalate(base, 4);
-  EXPECT_EQ(a4.dx_limit, 0.125);
-  EXPECT_EQ(a4.max_newton, 400);
+  // The engine step is pinned (the emission transient runs at the
+  // model's Ts): no rung may change dt.
+  for (int a = 0; a < robust::kMaxLadderStages; ++a)
+    EXPECT_EQ(robust::escalate(base, a).dt, base.dt) << "rung " << a;
 
+  EXPECT_EQ(robust::kMaxLadderStages, 4);
   EXPECT_STREQ(robust::retry_stage_name(0), "base");
-  EXPECT_STREQ(robust::retry_stage_name(2), "pivot");
-  EXPECT_STREQ(robust::retry_stage_name(4), "damp");
+  EXPECT_STREQ(robust::retry_stage_name(1), "pivot");
+  EXPECT_STREQ(robust::retry_stage_name(2), "gmin");
+  EXPECT_STREQ(robust::retry_stage_name(3), "damp");
 }
 
 robust::SolveError make_err(const char* detail) {
@@ -230,19 +234,19 @@ TEST(RetryLadder, FirstTrySuccessRunsOnce) {
 }
 
 TEST(RetryLadder, RecoversAtTheStageThatClearsTheFault) {
-  // Fails until the ladder forces partial pivoting (stage 2).
+  // Fails until the ladder raises gmin (stage 2).
   int calls = 0;
   const auto out = robust::run_with_escalation(
       {}, {}, [&](const ckt::TransientOptions& opt) {
         ++calls;
-        if (!opt.partial_pivot) throw make_err("not pivoting yet");
+        if (opt.gmin < 1e-9) throw make_err("gmin too small");
       });
   EXPECT_EQ(calls, 3);
   EXPECT_EQ(out.attempts, 3);
   EXPECT_TRUE(out.recovered);
   ASSERT_EQ(out.failures.size(), 2u);
   EXPECT_EQ(out.failures[0].stage, "base");
-  EXPECT_EQ(out.failures[1].stage, "dt/2");
+  EXPECT_EQ(out.failures[1].stage, "pivot");
 }
 
 TEST(RetryLadder, ExhaustionRethrowsWithAttemptsAndLadderHistory) {
@@ -260,25 +264,6 @@ TEST(RetryLadder, ExhaustionRethrowsWithAttemptsAndLadderHistory) {
     EXPECT_NE(msg.find("ladder exhausted"), std::string::npos);
     EXPECT_NE(msg.find("[damp]"), std::string::npos);
   }
-}
-
-TEST(RetryLadder, PinnedDtStillEscalatesEverythingElse) {
-  // refine_dt=false: pipelines whose step is locked (emission transients
-  // run at the model's Ts) keep base.dt on every rung while the pivot /
-  // gmin / damp escalations still apply.
-  robust::RetryPolicy pinned;
-  pinned.refine_dt = false;
-  ckt::TransientOptions base;
-  base.dt = 25e-12;
-  std::vector<double> dts;
-  const auto out = robust::run_with_escalation(
-      pinned, base, [&](const ckt::TransientOptions& opt) {
-        dts.push_back(opt.dt);
-        if (opt.dx_limit >= 0.2) throw make_err("needs damping");
-      });
-  EXPECT_EQ(out.attempts, 5);
-  EXPECT_TRUE(out.recovered);
-  for (double dt : dts) EXPECT_EQ(dt, base.dt);
 }
 
 TEST(RetryLadder, DisabledPolicyIsSingleAttemptPassThrough) {
@@ -508,6 +493,46 @@ TEST(EngineFaults, DcDivergenceCarriesScheduleAndResidualHistory) {
   EXPECT_EQ(info.kind, robust::FailureKind::kDcDivergence);
   EXPECT_EQ(info.site, "dc_operating_point");
   EXPECT_EQ(info.dt, 25e-12);
+}
+
+TEST(EngineFaults, SpareBarsHealAtTheirLadderRungs) {
+  // bench_robust's five faults on one transient under the ladder, probed
+  // by the real engine: each spared fault costs the attempts up to the
+  // rung that clears its bar, a permanent one all four.
+  using FS = robust::FaultSite;
+  const auto attempts_with = [](FS site, auto spare) {
+    robust::FaultPlan plan;
+    robust::FaultSpec spec;
+    spec.site = site;
+    spec.key = "clamp-ctx";
+    spare(spec);
+    plan.arm(spec);
+    robust::ScopedFaultPlan guard(plan);
+    int calls = 0;
+    try {
+      robust::run_with_escalation({}, clamp_options(), [&](const ckt::TransientOptions& opt) {
+        ++calls;
+        ckt::Circuit c;
+        const int probes[] = {build_clamp(c)};
+        ckt::NewtonWorkspace ws;
+        sig::RecordingSink rec;
+        ckt::run_transient_streamed(c, opt, ws, probes, rec, 64);
+      });
+    } catch (const robust::SolveError& e) {
+      EXPECT_EQ(e.info().attempts, calls);
+    }
+    return calls;
+  };
+  const auto permanent = [](robust::FaultSpec&) {};
+  EXPECT_EQ(attempts_with(FS::kDcSolve, permanent), 4);
+  EXPECT_EQ(attempts_with(FS::kDeadline, permanent), 4);
+  EXPECT_EQ(attempts_with(FS::kFactor, [](robust::FaultSpec& s) { s.spare_pivot = true; }), 2);
+  EXPECT_EQ(attempts_with(FS::kSinkWrite,
+                          [](robust::FaultSpec& s) { s.spare_gmin_at_least = 1e-9; }),
+            3);
+  EXPECT_EQ(attempts_with(FS::kTransientStep,
+                          [](robust::FaultSpec& s) { s.spare_dx_limit_below = 0.2; }),
+            4);
 }
 
 }  // namespace
