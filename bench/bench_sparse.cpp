@@ -2,7 +2,12 @@
 // TransientOptions::partial_pivot on an N-conductor coupled-bus harness
 // (crossover over problem size, waveform agreement, speedup at >= 200
 // unknowns), and the port-reduced Newton solve vs the full-system loop
-// (cache_lu = false). Results land in BENCH_sparse.json.
+// (cache_lu = false). A second section runs the transistor-level
+// reference driver on a lossy coupled line, whose transient A0 fails the
+// static kernel's health check: it reports the pivot fallbacks, the
+// entries one x0 solve walks through the pivoted factors (against n^2),
+// Z's stored nonzeros (against n p) and the transient's wall time. Results
+// land in BENCH_sparse.json.
 //
 //   bench_sparse [--smoke]
 //
@@ -13,12 +18,14 @@
 //     Newton iteration totals at every size (static-pivot kernel)
 //   * full mode only: static pivot >= 3x faster than partial pivoting at
 //     >= 200 unknowns (wall clock is recorded in smoke mode but not gated)
+// The reference-driver counters are gated by the smoke baseline.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baseline.hpp"
@@ -27,8 +34,11 @@
 #include "circuit/engine.hpp"
 #include "circuit/netlist.hpp"
 #include "circuit/tline.hpp"
+#include "devices/reference_driver.hpp"
+#include "experiments.hpp"
 #include "json_out.hpp"
 #include "signal/sample_sink.hpp"
+#include "signal/sources.hpp"
 
 namespace {
 
@@ -119,6 +129,60 @@ BusRun run_bus(const BusSpec& spec, bool pivot, bool port_reduced = true) {
   out.wall_s = seconds_since(t0);
   out.newton_iters = stats.total_newton_iters;
   out.record = std::move(rec).take_data();
+  return out;
+}
+
+/// The paper-claim corner's transient: two MD3-class reference drivers on
+/// the MCM coupled line (aggressor toggling `periods` repetitions of a
+/// 15-bit pattern, victim quiet), 1 pF far-end loads, Ts steps.
+struct RefRun {
+  int n_unknowns = 0;
+  std::size_t ports = 0;
+  long newton_iters = 0;
+  long tr_pivot_fallbacks = 0;
+  long dc_pivot_fallbacks = 0;
+  unsigned long long x0_walk_entries = 0;
+  std::size_t z_nnz = 0;
+  double wall_s = 0.0;
+};
+
+RefRun run_reference_driver(int periods) {
+  const dev::DriverTech tech = dev::DriverTech::md3_ibm25();
+  std::string active;
+  for (int k = 0; k < periods; ++k) active += "011010011101001";
+  ckt::Circuit c;
+  const int a1 = c.node();
+  const int a2 = c.node();
+  const int b1 = c.node();
+  const int b2 = c.node();
+  ckt::add_coupled_lossy_line(c, {a1, a2}, {b1, b2}, exp::mcm_fig3_params(), 25e-12, 0);
+  c.add<ckt::Capacitor>(b1, c.ground(), 1e-12);
+  c.add<ckt::Capacitor>(b2, c.ground(), 1e-12);
+  for (const auto& [pad, bits] : {std::pair{a1, active},
+                                  std::pair{a2, std::string(active.size(), '0')}}) {
+    auto pattern = sig::bit_stream(bits, 1e-9, 0.1e-9, 0.0, tech.vdd);
+    const auto inst =
+        dev::build_reference_driver(c, tech, [pattern](double t) { return pattern(t); });
+    c.add<ckt::Resistor>(inst.pad, pad, 1e-3);
+  }
+  RefRun out;
+  out.n_unknowns = c.finalize();
+
+  ckt::TransientOptions opt;
+  opt.dt = 25e-12;
+  opt.t_stop = 1e-9 * static_cast<double>(active.size());
+  ckt::NewtonWorkspace ws;
+  sig::RecordingSink rec;
+  const int probes[] = {b1};
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto stats = ckt::run_transient_streamed(c, opt, ws, probes, rec);
+  out.wall_s = seconds_since(t0);
+  out.newton_iters = stats.total_newton_iters;
+  out.ports = ws.sp_tr.ports.size();
+  out.tr_pivot_fallbacks = ws.sp_tr.lu.stats().pivot_fallbacks;
+  out.dc_pivot_fallbacks = ws.sp_dc.lu.stats().pivot_fallbacks;
+  out.x0_walk_entries = ws.sp_tr.lu.solve_walk();
+  out.z_nnz = ws.sp_tr.z_val.size();
   return out;
 }
 
@@ -222,6 +286,31 @@ int main(int argc, char** argv) {
     std::printf("GATE FAILED: static-pivot speedup %.2fx < 3x at n = %d\n", big_speedup,
                 big_n);
     ok = false;
+  }
+
+  // ---------------------------------------------------------------- B ----
+  // Reference driver on a lossy line: the pivot-fallback solve path.
+  {
+    const RefRun r = run_reference_driver(smoke ? 1 : 3);
+    const auto n = static_cast<unsigned long long>(r.n_unknowns);
+    std::printf("\nreference driver on lossy line: n = %d, p = %zu, %ld Newton iters, "
+                "%.4f s\n  pivot fallbacks: transient %ld, dc %ld\n"
+                "  entries per x0 solve: %llu (dense %llu)\n  Z nonzeros: %zu of %llu\n",
+                r.n_unknowns, r.ports, r.newton_iters, r.wall_s, r.tr_pivot_fallbacks,
+                r.dc_pivot_fallbacks, r.x0_walk_entries, n * n, r.z_nnz, n * r.ports);
+    auto ref = bench::Json::object();
+    ref.set("n_unknowns", bench::Json::integer(r.n_unknowns));
+    ref.set("ports", bench::Json::integer(static_cast<long>(r.ports)));
+    ref.set("newton_iters", bench::Json::integer(r.newton_iters));
+    ref.set("tr_pivot_fallbacks", bench::Json::integer(r.tr_pivot_fallbacks));
+    ref.set("dc_pivot_fallbacks", bench::Json::integer(r.dc_pivot_fallbacks));
+    ref.set("x0_walk_entries", bench::Json::integer(static_cast<long>(r.x0_walk_entries)));
+    ref.set("dense_entries", bench::Json::integer(static_cast<long>(n * n)));
+    ref.set("z_nnz", bench::Json::integer(static_cast<long>(r.z_nnz)));
+    ref.set("z_dense_entries", bench::Json::integer(static_cast<long>(n * r.ports)));
+    ref.set("transient_wall_s", bench::Json::number(r.wall_s));
+    doc.set("reference_driver", std::move(ref));
+    doc.at("scenarios").push(bench::scenario_row("ref_driver_line", r.wall_s, r.newton_iters));
   }
 
   doc.set("gates_passed", bench::Json::boolean(ok));

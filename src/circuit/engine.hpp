@@ -87,7 +87,11 @@ struct ModeSystem {
   int use_ports = -1;
   std::vector<int> ports;    ///< the port set P: 0-based unknowns, ascending
   std::vector<int> port_of;  ///< n entries: index into `ports`, or -1
-  std::vector<double> z;     ///< Z = A0^-1 E_P, column-major n x p
+  /// Z = A0^-1 E_P (n x p) by its nonzeros, column j at
+  /// [z_ptr[j], z_ptr[j+1]) with rows ascending.
+  std::vector<std::size_t> z_ptr;
+  std::vector<int> z_row;
+  std::vector<double> z_val;
   linalg::Matrix zpp;        ///< Z[P, :], p x p
 
   /// A0 and Z are valid for (key_dt, key_gmin) of this mode.
@@ -127,6 +131,8 @@ struct ModeSystem {
 /// full system's Newton update, so the convergence test, damping, residual
 /// history, fault probes and deadline checks run unchanged on the full
 /// vector. Singular and diverging solves surface from the port system.
+/// Z is kept as its nonzeros (a port's column is mostly zero), so the
+/// update costs O(n + nnz Z), not O(n p).
 ///
 /// Engagement is a pure function of the structure: P is discovered on the
 /// first solve of each mode and the reduction engages when 8p <= n (a

@@ -181,18 +181,26 @@ void factor_mode(ModeSystem& sys, const TransientOptions& opt) {
   sys.lu.factor(sys.a, sys.a.n() < kPivotBelowUnknowns || opt.partial_pivot);
 }
 
-/// Z = A0^-1 E_P (one back-substitution per port) and Zpp = Z[P, :].
-void compute_z(ModeSystem& sys) {
-  const std::size_t n = sys.port_of.size();
+/// Z = A0^-1 E_P (one back-substitution per port, each into the n-long
+/// scratch `col`), kept by its nonzeros, and Zpp = Z[P, :].
+void compute_z(ModeSystem& sys, std::vector<double>& col) {
   const std::size_t p = sys.ports.size();
-  sys.z.assign(n * p, 0.0);
+  sys.z_ptr.assign(p + 1, 0);
+  sys.z_row.clear();
+  sys.z_val.clear();
   sys.zpp = linalg::Matrix(p, p);
   for (std::size_t j = 0; j < p; ++j) {
-    const std::span<double> col(sys.z.data() + j * n, n);
+    std::fill(col.begin(), col.end(), 0.0);
     col[static_cast<std::size_t>(sys.ports[j])] = 1.0;
     sys.lu.solve_in_place(col);
     for (std::size_t a = 0; a < p; ++a)
       sys.zpp(a, j) = col[static_cast<std::size_t>(sys.ports[a])];
+    for (std::size_t i = 0; i < col.size(); ++i)
+      if (col[i] != 0.0) {
+        sys.z_row.push_back(static_cast<int>(i));
+        sys.z_val.push_back(col[i]);
+      }
+    sys.z_ptr[j + 1] = sys.z_row.size();
   }
 }
 
@@ -210,7 +218,7 @@ bool prepare_a0(ModeSystem& sys, NewtonWorkspace& ws, const SimState& state,
     sys.use_ports = 0;
     return false;
   }
-  compute_z(sys);
+  compute_z(sys, ws.x_new);
   sys.a0_ready = true;
   sys.key_dt = state.dt;
   sys.key_gmin = opt.gmin;
@@ -220,7 +228,6 @@ bool prepare_a0(ModeSystem& sys, NewtonWorkspace& ws, const SimState& state,
 /// Damped Newton on the port border (see NewtonWorkspace for the algebra).
 bool port_newton(ModeSystem& sys, NewtonWorkspace& ws, std::vector<double>& x,
                  const SimState& state, const TransientOptions& opt, SolveStats* stats) {
-  const std::size_t n = x.size();
   const robust::FaultCtx fctx = fault_ctx(opt);
 
   // x0 = A0^-1 b0: the interconnect's response to its own sources and
@@ -262,7 +269,7 @@ bool port_newton(ModeSystem& sys, NewtonWorkspace& ws, std::vector<double>& x,
                                                   "newton_solve", opt, state.t, ws));
       count_restamp(stats);
       add_ports(sys, st.missed());
-      compute_z(sys);
+      compute_z(sys, ws.x_new);
     }
     probe_factor_fault(fctx, opt, state.t, ws);
 
@@ -287,12 +294,13 @@ bool port_newton(ModeSystem& sys, NewtonWorkspace& ws, std::vector<double>& x,
     }
     ws.port_lu.solve_in_place(ws.y);
 
-    // x_new = x0 + Z y
+    // x_new = x0 + Z y over Z's nonzeros, columns ascending (a zero entry
+    // would add y_j * 0, which leaves a finite sum unchanged).
     std::copy(ws.x0.begin(), ws.x0.end(), ws.x_new.begin());
     for (std::size_t j = 0; j < p; ++j) {
       const double yj = ws.y[j];
-      const double* col = sys.z.data() + j * n;
-      for (std::size_t i = 0; i < n; ++i) ws.x_new[i] += yj * col[i];
+      for (std::size_t k = sys.z_ptr[j]; k < sys.z_ptr[j + 1]; ++k)
+        ws.x_new[static_cast<std::size_t>(sys.z_row[k])] += yj * sys.z_val[k];
     }
     if (accept_or_damp(ws, x, opt)) return true;
   }

@@ -45,6 +45,12 @@ class LuFactor {
 
   std::size_t size() const { return lu_.rows(); }
 
+  /// The packed factors: the unit lower triangle's multipliers below the
+  /// diagonal, U on and above it.
+  const Matrix& packed() const { return lu_; }
+  /// Row interchanges: row k was swapped with row pivots()[k] at step k.
+  std::span<const int> pivots() const { return piv_; }
+
  private:
   /// In-place LU of lu_ with partial pivoting; records row swaps in piv_.
   void factorize();

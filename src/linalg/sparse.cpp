@@ -262,10 +262,40 @@ void SparseLu::analyze(const SparsePattern& p) {
 }
 
 void SparseLu::factor_pivoting(const SparseMatrix& a) {
-  if (dense_.rows() != n_) dense_ = Matrix(n_, n_);
+  const std::size_t n = n_;
+  if (dense_.rows() != n) {
+    dense_ = Matrix(n, n);
+    pr_col_.reserve(n * n);  // the most a factor can hold: no growth later
+    pr_val_.reserve(n * n);
+  }
   a.to_dense(dense_);
   pivoted_ = true;
   pivot_lu_.factor(dense_);
+
+  // Keep the factors' nonzeros by row. An entry that is exactly zero
+  // contributes 0 * b[j] to LuFactor's sums, which leaves every finite sum
+  // unchanged, so the solve skips it.
+  const Matrix& lu = pivot_lu_.packed();
+  pr_ptr_.resize(n + 1);
+  pr_mid_.resize(n);
+  pr_diag_.resize(n);
+  pr_col_.clear();
+  pr_val_.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    pr_ptr_[i] = pr_col_.size();
+    const std::span<const double> row = lu.row(i);
+    for (std::size_t j = 0; j < n; ++j) {
+      if (j == i) {
+        pr_mid_[i] = pr_col_.size();
+        pr_diag_[i] = row[j];
+      } else if (row[j] != 0.0) {
+        pr_col_.push_back(static_cast<int>(j));
+        pr_val_.push_back(row[j]);
+      }
+    }
+  }
+  pr_ptr_[n] = pr_col_.size();
+  pivot_walk_ = pr_col_.size() + n;
 }
 
 void SparseLu::factor(const SparseMatrix& a, bool pivot) {
@@ -346,15 +376,33 @@ void SparseLu::solve_in_place(std::span<double> b) const {
   if (!valid_) throw std::runtime_error("SparseLu::solve: no valid factorization");
   if (b.size() != n) throw std::invalid_argument("SparseLu::solve: size mismatch");
   if (counted_) {
+    const unsigned long long walk = solve_walk();
     ++stats_.solves;
-    stats_.walk_entries += solve_walk_;
+    stats_.walk_entries += walk;
     static const obs::Counter c_solves("linalg.sparselu.solves");
     static const obs::Counter c_walk("linalg.sparselu.walk_entries");
     c_solves.add();
-    c_walk.add(solve_walk_);
+    c_walk.add(walk);
   }
   if (pivoted_) {
-    pivot_lu_.solve_in_place(b);
+    // LuFactor::solve_in_place over the nonzeros: row interchanges, forward
+    // substitution (unit lower triangle), back substitution dividing by
+    // the diagonal.
+    const std::span<const int> piv = pivot_lu_.pivots();
+    for (std::size_t k = 0; k < n; ++k)
+      if (piv[k] != static_cast<int>(k)) std::swap(b[k], b[static_cast<std::size_t>(piv[k])]);
+    for (std::size_t i = 1; i < n; ++i) {
+      double acc = b[i];
+      for (std::size_t s = pr_ptr_[i]; s < pr_mid_[i]; ++s)
+        acc -= pr_val_[s] * b[static_cast<std::size_t>(pr_col_[s])];
+      b[i] = acc;
+    }
+    for (std::size_t ii = n; ii-- > 0;) {
+      double acc = b[ii];
+      for (std::size_t s = pr_mid_[ii]; s < pr_ptr_[ii + 1]; ++s)
+        acc -= pr_val_[s] * b[static_cast<std::size_t>(pr_col_[s])];
+      b[ii] = acc / pr_diag_[ii];
+    }
     return;
   }
 

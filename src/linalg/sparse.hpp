@@ -3,7 +3,8 @@
 // owns two kernels: a static-pivot refactor whose symbolic phase
 // (fill-reducing ordering + fill pattern) is computed once per structure
 // and reused across numeric refactorizations — Newton changes the values
-// every iteration, never the structure — and dense partial pivoting.
+// every iteration, never the structure — and dense partial pivoting whose
+// solves walk only the nonzeros of its factors.
 //
 // Determinism contract: the elimination order is a pure function of the
 // pattern (structure only, never of the values), so a factorization's
@@ -112,8 +113,9 @@ class SparseMatrix {
 
 /// Counters of the static-pivot kernel's work: how often the symbolic
 /// analysis was reused, how often the numeric health check fell back to
-/// partial pivoting, and how many pattern entries the factor/solve kernels
-/// walked. Factorizations requested with pivot = true count nowhere.
+/// partial pivoting, and how many factor entries the factor/solve kernels
+/// walked (a solve after a fallback walks the pivoted factors' nonzeros).
+/// Factorizations requested with pivot = true count nowhere.
 struct SparseLuStats {
   long analyses = 0;         ///< symbolic phases computed
   long symbolic_reuses = 0;  ///< numeric refactors that reused the symbolic
@@ -138,7 +140,12 @@ struct SparseLuStats {
 ///
 /// factor(a, true) is the pivoting kernel: partial-pivot LuFactor of the
 /// matrix's dense image in a reused scratch matrix — no symbolic analysis,
-/// nothing added to stats() or the linalg.sparselu.* counters.
+/// nothing added to stats() or the linalg.sparselu.* counters. Its nonzeros
+/// are then kept by row (columns ascending, diagonal apart), and a solve
+/// applies the row interchanges and substitutes through those entries
+/// only, in LuFactor's order and dividing by the diagonal as it does: the
+/// same result as LuFactor::solve_in_place for every finite right-hand
+/// side (up to the sign of an exact zero), at O(nnz) instead of O(n^2).
 class SparseLu {
  public:
   SparseLu() = default;
@@ -151,6 +158,9 @@ class SparseLu {
 
   /// Solve A x = b in place.
   void solve_in_place(std::span<double> b) const;
+
+  /// Factor entries one solve walks through the current factors.
+  unsigned long long solve_walk() const { return pivoted_ ? pivot_walk_ : solve_walk_; }
 
   /// Drop numeric *and* symbolic state (topology changed for good).
   void invalidate();
@@ -192,9 +202,17 @@ class SparseLu {
   std::vector<double> w_;           ///< scatter workspace, n
   mutable std::vector<double> pb_;  ///< permuted rhs scratch for solves
 
-  // Pivoting kernel: the dense image of the matrix and its factors.
+  // Pivoting kernel: the dense image of the matrix, its factors, and their
+  // nonzeros by row — L at [pr_ptr_[i], pr_mid_[i]), U at
+  // [pr_mid_[i], pr_ptr_[i+1]), columns ascending; the diagonal apart.
   Matrix dense_;
   LuFactor pivot_lu_;
+  std::vector<std::size_t> pr_ptr_;
+  std::vector<std::size_t> pr_mid_;
+  std::vector<int> pr_col_;
+  std::vector<double> pr_val_;
+  std::vector<double> pr_diag_;
+  unsigned long long pivot_walk_ = 0;
 
   mutable SparseLuStats stats_;
 };

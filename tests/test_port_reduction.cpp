@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "circuit/devices_linear.hpp"
@@ -23,9 +24,11 @@
 #include "core/circuit_dut.hpp"
 #include "core/driver_device.hpp"
 #include "core/driver_estimator.hpp"
+#include "devices/reference_driver.hpp"
 #include "obs/metrics.hpp"
 #include "robust/error.hpp"
 #include "robust/fault.hpp"
+#include "signal/sources.hpp"
 #include "sweep/sweep_runner.hpp"
 
 namespace {
@@ -143,6 +146,59 @@ TEST(PortReduction, SingularLinearBlockFallsBackToFullSystem) {
   opt.cache_lu = false;
   const auto full = ckt::run_transient(full_c, opt);
   EXPECT_LT(max_delta(reduced, full), 1e-9);
+}
+
+TEST(PortReduction, ReferenceDriverA0FallsBackAndSolvesThroughNonzeros) {
+  // Two transistor-level drivers on a short lossy coupled line: the
+  // transient A0 fails the static kernel's health check, so the x0 solves
+  // and Z's columns go through the pivoted factors' nonzeros, and Z keeps
+  // only its nonzeros. The record must still match the full-system loop.
+  const auto build = [](ckt::Circuit& c) {
+    ckt::CoupledLineParams line;
+    line.l = linalg::Matrix{{466e-9, 66e-9}, {66e-9, 466e-9}};
+    line.c = linalg::Matrix{{66e-12, -6.6e-12}, {-6.6e-12, 66e-12}};
+    line.length = 0.05;
+    line.loss.rdc = 66.0;
+    line.loss.rskin = 1.6e-3;
+    line.loss.tan_delta = 0.001;
+    line.loss.f_ref = 1e9;
+    const int a1 = c.node();
+    const int a2 = c.node();
+    const int b1 = c.node();
+    const int b2 = c.node();
+    ckt::add_coupled_lossy_line(c, {a1, a2}, {b1, b2}, line, 25e-12, 0);
+    c.add<ckt::Capacitor>(b1, c.ground(), 1e-12);
+    c.add<ckt::Capacitor>(b2, c.ground(), 1e-12);
+    const dev::DriverTech tech = dev::DriverTech::md3_ibm25();
+    for (const auto& [pad, bits] : {std::pair{a1, "0110"}, std::pair{a2, "0000"}}) {
+      auto pattern = sig::bit_stream(bits, 1e-9, 0.1e-9, 0.0, tech.vdd);
+      const auto inst =
+          dev::build_reference_driver(c, tech, [pattern](double t) { return pattern(t); });
+      c.add<ckt::Resistor>(inst.pad, pad, 1e-3);
+    }
+  };
+  ckt::Circuit reduced_c, full_c;
+  build(reduced_c);
+  build(full_c);
+  const auto n = static_cast<std::size_t>(reduced_c.finalize());
+  ckt::TransientOptions opt;
+  opt.dt = 25e-12;
+  opt.t_stop = 5e-9;  // 200 steps
+  ckt::NewtonWorkspace ws;
+  const auto reduced = ckt::run_transient(reduced_c, opt, ws);
+  ASSERT_EQ(ws.sp_tr.use_ports, 1);
+  EXPECT_GE(ws.sp_tr.lu.stats().pivot_fallbacks, 1);
+  const std::size_t p = ws.sp_tr.ports.size();
+  EXPECT_EQ(ws.sp_tr.z_ptr.size(), p + 1);
+  EXPECT_EQ(ws.sp_tr.z_val.size(), ws.sp_tr.z_ptr.back());
+  EXPECT_LT(ws.sp_tr.z_val.size(), n * p);
+  EXPECT_LT(ws.sp_tr.lu.solve_walk(), n * n);
+
+  opt.cache_lu = false;
+  const auto full = ckt::run_transient(full_c, opt);
+  EXPECT_LT(max_delta(reduced, full), 1e-9);
+  EXPECT_EQ(reduced.stats.total_newton_iters, full.stats.total_newton_iters);
+  EXPECT_EQ(reduced.stats.dc_newton_iters, full.stats.dc_newton_iters);
 }
 
 TEST(PortReduction, DeadlineInsidePortLoopCarriesResidualHistory) {

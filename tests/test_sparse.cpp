@@ -48,6 +48,43 @@ void fill_banded(std::size_t n, std::uint64_t seed,
   }
 }
 
+/// Block-diagonal pattern of dense 4 x 4 blocks chained by one coupling
+/// entry each way between neighbouring blocks. The first block's diagonal
+/// is tiny (1e-9 against O(1) off-diagonals), so whichever of its nodes the
+/// static order eliminates first yields a multiplier near 1e9 and fails
+/// the health check; partial pivoting keeps the factors block-sparse.
+void fill_block_sparse(std::size_t blocks, std::uint64_t seed,
+                       std::vector<linalg::SparseCoord>& coords, linalg::Matrix& dense) {
+  Lcg rng(seed);
+  const std::size_t n = 4 * blocks;
+  dense = linalg::Matrix(n, n);
+  coords.clear();
+  const auto set = [&](std::size_t i, std::size_t j, double v) {
+    coords.push_back({static_cast<int>(i), static_cast<int>(j)});
+    dense(i, j) = v;
+  };
+  for (std::size_t b = 0; b < blocks; ++b) {
+    for (std::size_t i = 4 * b; i < 4 * b + 4; ++i)
+      for (std::size_t j = 4 * b; j < 4 * b + 4; ++j)
+        set(i, j, i != j ? 1.0 + 0.5 * rng.next() : b == 0 ? 1e-9 : 6.0 + rng.next());
+    if (b + 1 < blocks) {
+      set(4 * b + 3, 4 * b + 4, 0.5 * rng.next());
+      set(4 * b + 4, 4 * b + 3, 0.5 * rng.next());
+    }
+  }
+}
+
+/// Off-diagonal nonzeros of LuFactor's packed factors plus the diagonal:
+/// the entries a solve through them has to walk.
+unsigned long long packed_walk(const linalg::LuFactor& lu) {
+  const linalg::Matrix& m = lu.packed();
+  unsigned long long w = m.rows();
+  for (std::size_t i = 0; i < m.rows(); ++i)
+    for (std::size_t j = 0; j < m.cols(); ++j)
+      if (i != j && m(i, j) != 0.0) ++w;
+  return w;
+}
+
 void load_matrix(linalg::SparseMatrix& a, const linalg::Matrix& dense) {
   a.clear_values();
   const std::size_t n = dense.rows();
@@ -269,6 +306,79 @@ TEST(SparseLu, WalkCountersCountPatternEntriesOncePerCall) {
   std::vector<double> b(n, 1.0);
   lu.solve_in_place(b);
   EXPECT_GT(lu.stats().walk_entries, 2 * factor_walk);
+  EXPECT_EQ(lu.stats().walk_entries, 2 * factor_walk + lu.solve_walk());
+
+  // After a health fallback the solve walks the pivoted factors' nonzeros,
+  // and counts those, not the static pattern it no longer uses.
+  std::vector<linalg::SparseCoord> fcoords;
+  linalg::Matrix fdense;
+  fill_block_sparse(4, 5, fcoords, fdense);
+  // Two stamped positions holding exact zeros: the static fill pattern
+  // walks them (and their fill), the pivoted factors hold none of them.
+  fcoords.push_back({0, 15});
+  fcoords.push_back({15, 0});
+  const auto fp = linalg::SparsePattern::build(fdense.rows(), fcoords);
+  linalg::SparseMatrix fa;
+  fa.set_pattern(&fp);
+  load_matrix(fa, fdense);
+  linalg::SparseLu flu;
+  flu.factor(fa);
+  ASSERT_EQ(flu.stats().pivot_fallbacks, 1);
+  const auto before = flu.stats().walk_entries;
+  linalg::LuFactor ref;
+  ref.factor(fa.to_dense());
+  EXPECT_EQ(flu.solve_walk(), packed_walk(ref));
+  std::vector<double> fb(fdense.rows(), 1.0);
+  flu.solve_in_place(fb);
+  flu.solve_in_place(fb);
+  EXPECT_EQ(flu.stats().solves, 2);
+  EXPECT_EQ(flu.stats().walk_entries, before + 2 * packed_walk(ref));
+}
+
+TEST(SparseLu, FallbackSolveWalksOnlyNonzerosAndEqualsLuFactor) {
+  // A block-sparse system failing the static kernel's health check: its
+  // solves must equal LuFactor on the dense image bit for bit, for
+  // right-hand sides with and without exact zeros, while walking far fewer
+  // than the n^2 entries of the dense factors.
+  const std::size_t blocks = 20;
+  std::vector<linalg::SparseCoord> coords;
+  linalg::Matrix dense;
+  fill_block_sparse(blocks, 17, coords, dense);
+  const std::size_t n = dense.rows();
+  ASSERT_GE(n, 64u);
+  const auto p = linalg::SparsePattern::build(n, coords);
+  linalg::SparseMatrix a;
+  a.set_pattern(&p);
+  load_matrix(a, dense);
+
+  linalg::SparseLu lu;
+  lu.factor(a);
+  ASSERT_EQ(lu.stats().pivot_fallbacks, 1);
+  linalg::LuFactor ref;
+  ref.factor(a.to_dense());
+  EXPECT_EQ(lu.solve_walk(), packed_walk(ref));
+  EXPECT_LT(lu.solve_walk(), n * n / 10);
+
+  std::vector<std::vector<double>> rhs;
+  rhs.emplace_back(n, 0.0);  // all zero
+  rhs.emplace_back(n, 0.0);
+  rhs.back()[n / 2] = 1.0;  // one port column
+  rhs.emplace_back(n, 0.0);
+  rhs.back()[0] = -2.5;  // the tiny-pivot block only
+  Lcg rng(3);
+  rhs.emplace_back(n);
+  for (double& v : rhs.back()) v = rng.next();
+  rhs.emplace_back(n);
+  for (std::size_t i = 0; i < n; ++i) rhs.back()[i] = i % 3 == 0 ? rng.next() : 0.0;
+
+  for (std::size_t r = 0; r < rhs.size(); ++r) {
+    auto x = rhs[r];
+    const auto walked = lu.stats().walk_entries;
+    lu.solve_in_place(x);
+    EXPECT_EQ(lu.stats().walk_entries - walked, lu.solve_walk());
+    const auto xr = ref.solve(rhs[r]);
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(x[i], xr[i]) << "rhs " << r << " row " << i;
+  }
 }
 
 TEST(SparseLu, PivotRouteIsLuFactorOfTheDenseImage) {
